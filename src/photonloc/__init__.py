@@ -16,20 +16,19 @@ from .errors import (DimensionError, DomainError, GridMismatchError,
 from .grid import Grid
 from .fields import (FREQUENCY, POSITION, SpectralField, forward_transform,
                      inverse_transform, l2_inner, l2_norm, magnitude,
-                     peak_magnitude, scalar_field, strip_zero_mode,
-                     to_frequency, to_position, vector_field, zero_field,
-                     zero_mode_amplitude)
+                     peak_magnitude, strip_zero_mode, to_frequency,
+                     to_position, zero_mode_amplitude)
 from .operators import (MomentumAmplitudes, PolarizationVector,
                         apply_frequency_power, curl, helicity_apply,
                         helicity_project, momentum_amplitudes, omega,
                         plane_wave, polarization_vector,
                         synthesize_from_amplitudes, transversality_residual,
                         transverse_project)
-from .states import (BBState, EMFields, HelicityPair, LPState, bb_from_em,
-                     bb_from_lp, bb_inner, evolve, lp_from_bb,
+from .states import (BBState, EMFields, HelicityPair, LPState, PhotonState,
+                     bb_from_em, bb_from_lp, bb_inner, evolve, lp_from_bb,
                      lp_from_potentials, lp_inner, normalize,
                      riemann_silberstein_split, riemann_silberstein_vector,
-                     state_magnitude, state_norm)
+                     state_magnitude)
 from .energy import (DetectorVolume, EnergyDensityMap, KnightReport,
                      detector_energy, energy_density, knight_locality_test,
                      total_energy, volume_weights)

@@ -274,8 +274,8 @@ def suite_isomorphism(grid1: Grid, grid3: Grid, n_pairs: int = 20,
         ip_bb = bb_inner(f, bb_from_lp(psi2))
         inner_corr = max(inner_corr, abs(ip_bb - units.hbar * ip_lp) / abs(ip_lp))
         norm_corr = max(norm_corr,
-                        abs(f.norm_bb - np.sqrt(units.hbar) * psi.norm_lp)
-                        / (np.sqrt(units.hbar) * psi.norm_lp))
+                        abs(f.norm - np.sqrt(units.hbar) * psi.norm)
+                        / (np.sqrt(units.hbar) * psi.norm))
         t = float(rng.uniform(-3.0, 3.0))
         evolve_comm = max(evolve_comm, _rel(to_frequency(bb_from_lp(evolve(psi, t)).f),
                                             to_frequency(evolve(f, t).f)))
@@ -440,7 +440,7 @@ def suite_nonlocality_floor(figset) -> SuiteResult:
     checks = []
     for label in ("a", "b", "c"):
         panel = figset.panels[label]
-        emap = EnergyDensityMap(g, panel.energy, "both", panel.two_path_discrepancy)
+        emap = EnergyDensityMap(g, panel.energy, panel.two_path_discrepancy)
         ordered = np.sort(panel.energy)
         peak = float(ordered[-1])
         checks.append(_above(f"{label}-min-energy-density",
@@ -481,10 +481,10 @@ def suite_tail_quantification(units: UnitsConfig = NATURAL) -> SuiteResult:
     grid = Grid(1, 16.0, 4096)
     r = grid.radius.copy()
     stretched_vals = np.exp(-2.0 * np.sqrt(r))
-    fit_s = tail_exponent_fit(EnergyDensityMap(grid, stretched_vals, "both", 0.0),
+    fit_s = tail_exponent_fit(EnergyDensityMap(grid, stretched_vals, 0.0),
                               (2.0, 6.0))
     power_vals = np.where(r > 0, r, grid.spacing) ** -3.0
-    fit_p = tail_exponent_fit(EnergyDensityMap(grid, power_vals, "both", 0.0),
+    fit_p = tail_exponent_fit(EnergyDensityMap(grid, power_vals, 0.0),
                               (2.0, 6.0))
 
     return SuiteResult("tail-quantification", [
@@ -568,7 +568,7 @@ def suite_lemma_witnesses(figset, grid1: Grid, seed: int = 23,
     scan_window = max(0.1, 5.0 * grid1.spacing)
     for label in ("a", "b", "c"):
         state = figset.states[label]
-        field = state.psi if isinstance(state, LPState) else state.f
+        field = state.field
         parent_peak = float(np.max(magnitude(to_position(field))))
         zero_mean = strip_zero_mode(field)
         for sign in (1, -1):
@@ -619,16 +619,12 @@ def suite_determinism(figset, grid1: Grid, seed: int = 29) -> SuiteResult:
         state = LPState(field) if i % 2 == 0 else BBState(field)
         t = float(rng.uniform(-5.0, 5.0))
         moved = evolve(state, t)
-        n0 = state.norm_lp if isinstance(state, LPState) else state.norm_bb
-        n1 = moved.norm_lp if isinstance(moved, LPState) else moved.norm_bb
-        norm_dev = max(norm_dev, abs(n1 - n0) / n0)
+        norm_dev = max(norm_dev, abs(moved.norm - state.norm) / state.norm)
         e0 = total_energy(energy_density(state))
         e1 = total_energy(energy_density(moved))
         energy_dev = max(energy_dev, abs(e1 - e0) / e0)
         back = evolve(moved, -t)
-        f0 = state.psi if isinstance(state, LPState) else state.f
-        f1 = back.psi if isinstance(back, LPState) else back.f
-        rt_dev = max(rt_dev, _rel(f1, f0))
+        rt_dev = max(rt_dev, _rel(back.field, state.field))
 
     return SuiteResult("determinism-evolution", [
         _below("figure-recompute-deviation", repeat_dev, 1e-300),

@@ -30,7 +30,6 @@ from .locality import (PHYSICAL_FLOOR, antilocality_witness,
 from .operators import helicity_project
 from .scenarios import figure2_report, state_curves
 from .serialization import load_state, save_state, write_csv, write_json
-from .states import LPState
 from .svgplot import line_plot
 from .units import NATURAL, UnitsConfig
 
@@ -284,11 +283,9 @@ def cmd_locality(args) -> int:
         grid = Grid(1, args.domain_length, args.grid_n)
         state = make_lp_compact(grid, args.pulse_length, units)
         origin = "built-in lp-compact pulse"
-    grid = (state.psi if isinstance(state, LPState) else state.f).grid
-
-    lp_abs, bb_abs, emap = state_curves(state)
-    natural_abs = lp_abs if isinstance(state, LPState) else bb_abs
-    field = state.psi if isinstance(state, LPState) else state.f
+    grid = state.grid
+    field = state.field
+    emap = state_curves(state)[2]
 
     if args.source_volume is not None:
         source = _parse_volume(args.source_volume, grid.dim)
@@ -350,7 +347,7 @@ def cmd_locality(args) -> int:
 
     bundle = {
         "state": {"origin": origin,
-                  "representation": "lp" if isinstance(state, LPState) else "bb",
+                  "representation": state.representation,
                   "grid": {"dim": grid.dim, "length": grid.length, "n": grid.n}},
         "energy": {"total": total_energy(emap),
                    "min_density": float(np.min(emap.values)),
@@ -400,8 +397,7 @@ def cmd_check(args) -> int:
         print(f"{suite.name:<{width}}  {len(suite.checks):<6}  {status}")
         for check in suite.failures():
             print(f"  failed: {check.name}: {check.value:.6g} "
-                  f"{'<' if check.comparator == '<' else '>'} "
-                  f"{check.bound:.6g} required")
+                  f"{check.comparator} {check.bound:.6g} required")
     if out_needed:
         out = _resolve_output_dir(args)
         write_json(os.path.join(out, "check_report.json"),

@@ -26,7 +26,7 @@ from .errors import VolumeOutOfDomainError
 from .fields import SpectralField, magnitude, strip_zero_mode, to_position
 from .grid import Grid
 from .operators import apply_frequency_power, helicity_project
-from .states import BBState, LPState, bb_from_lp, lp_from_bb
+from .states import PhotonState, representation_images
 
 
 @dataclass(eq=False)
@@ -35,7 +35,6 @@ class EnergyDensityMap:
 
     grid: Grid
     values: np.ndarray
-    source_path: str
     two_path_discrepancy: float
 
     def __post_init__(self):
@@ -53,16 +52,10 @@ def _helicity_quadrance(field: SpectralField) -> np.ndarray:
 
 def energy_density(state) -> EnergyDensityMap:
     """Expectation value of the energy density, computed along both paths."""
-    if isinstance(state, LPState):
-        psi = state.psi
-        f_full = bb_from_lp(state).f
-        f_ref = f_full
-    elif isinstance(state, BBState):
-        f_full = state.f
-        f_ref = strip_zero_mode(f_full)
-        psi = lp_from_bb(state, zero_mode="drop").psi
-    else:
+    if not isinstance(state, PhotonState):
         raise TypeError(f"expected LPState or BBState, got {type(state).__name__}")
+    psi, f_full = representation_images(state)
+    f_ref = f_full if state.representation == "lp" else strip_zero_mode(f_full)
 
     u = state.units
     half_plus = apply_frequency_power(helicity_project(psi, +1), 0.5, u)
@@ -75,7 +68,7 @@ def energy_density(state) -> EnergyDensityMap:
 
     scale = float(np.max(bb_ref))
     disc = 0.0 if scale == 0.0 else float(np.max(np.abs(lp_vals - bb_ref))) / scale
-    return EnergyDensityMap(state.grid, bb_vals, "both", disc)
+    return EnergyDensityMap(state.grid, bb_vals, disc)
 
 
 def total_energy(emap: EnergyDensityMap) -> float:

@@ -62,12 +62,6 @@ class SpectralField:
     def is_frequency(self) -> bool:
         return self.domain == FREQUENCY
 
-    def components(self) -> list:
-        """Component arrays as a list, length 1 (scalar) or 3 (vector)."""
-        if self.grid.dim == 1:
-            return [self.data]
-        return [self.data[0], self.data[1], self.data[2]]
-
     def copy_with(self, **changes) -> "SpectralField":
         if "data" not in changes:
             changes["data"] = self.data.copy()
@@ -180,19 +174,3 @@ def l2_inner(a: SpectralField, b: SpectralField) -> complex:
         raise DomainError("inner product requires fields in the same domain")
     w = a.grid.cell_volume if a.is_position else a.grid.k_cell_volume
     return complex(w * np.sum(np.conj(a.data) * b.data))
-
-
-def scalar_field(grid: Grid, samples, domain: str = POSITION) -> SpectralField:
-    """Wrap a one-dimensional sample array as a field."""
-    return SpectralField(grid, np.asarray(samples), domain)
-
-
-def vector_field(grid: Grid, samples, domain: str = POSITION,
-                 transverse: bool = False) -> SpectralField:
-    """Wrap a (3, n, n, n) sample array as a field."""
-    return SpectralField(grid, np.asarray(samples), domain, transverse)
-
-
-def zero_field(grid: Grid, domain: str = POSITION) -> SpectralField:
-    shape = grid.spatial_shape if grid.dim == 1 else (3,) + grid.spatial_shape
-    return SpectralField(grid, np.zeros(shape, dtype=np.complex128), domain)

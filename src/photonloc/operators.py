@@ -21,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (DimensionError, GridMismatchError, TransversalityError,
-                     ZeroModeError, ZeroWaveVectorError)
+from .errors import (DimensionError, TransversalityError, ZeroModeError,
+                     ZeroWaveVectorError)
 from .fields import (FREQUENCY, POSITION, SpectralField, to_frequency, to_position,
                      zero_mode_amplitude)
 from .grid import Grid
@@ -35,6 +35,32 @@ TRANSVERSE_TOL = 1e-10
 def omega(grid: Grid, units: UnitsConfig = NATURAL) -> np.ndarray:
     """Angular frequency w(k) = c|k| on the spectral lattice."""
     return units.c * grid.k_magnitude
+
+
+def omega_power(grid: Grid, s: float, units: UnitsConfig = NATURAL) -> np.ndarray:
+    """The multiplier (c|k|)**s, set to zero at k = 0 for every s."""
+    w = omega(grid, units)
+    mult = np.zeros_like(w)
+    nonzero = w > 0.0
+    mult[nonzero] = w[nonzero] ** s
+    return mult
+
+
+def zero_mode_guard(zero_mode: str, fields=(), message: str = ""):
+    """Validate a ``zero_mode`` policy and enforce it on frequency fields.
+
+    With "raise", a ZeroModeError (carrying ``message``) is raised for any
+    field whose zero-mode amplitude is not negligible, i.e. above
+    ZERO_MODE_TOL relative to its spectral peak.  With "drop" the caller
+    discards the mode, so nothing is checked.
+    """
+    if zero_mode not in ("raise", "drop"):
+        raise ValueError(f"zero_mode must be 'raise' or 'drop', got {zero_mode!r}")
+    if zero_mode == "raise":
+        for f in fields:
+            peak = float(np.max(np.abs(f.data)))
+            if peak > 0.0 and zero_mode_amplitude(f) > ZERO_MODE_TOL * peak:
+                raise ZeroModeError(message)
 
 
 def _same_domain(field: SpectralField, freq_data: np.ndarray,
@@ -56,23 +82,15 @@ def apply_frequency_power(field: SpectralField, s: float,
     output zero mode is exactly zero, so round trips w**-s . w**s restore
     zero-mean fields exactly.
     """
-    if zero_mode not in ("raise", "drop"):
-        raise ValueError(f"zero_mode must be 'raise' or 'drop', got {zero_mode!r}")
     if s == 0:
+        zero_mode_guard(zero_mode)
         return field.copy_with()
     f = to_frequency(field)
-    if s < 0 and zero_mode == "raise":
-        peak = float(np.max(np.abs(f.data)))
-        if peak > 0.0 and zero_mode_amplitude(f) > ZERO_MODE_TOL * peak:
-            raise ZeroModeError(
-                "field carries a significant zero-frequency component; "
-                "a negative frequency power cannot represent it "
-                "(use zero_mode='drop' to discard it)")
-    w = omega(f.grid, units)
-    mult = np.zeros_like(w)
-    nonzero = w > 0.0
-    mult[nonzero] = w[nonzero] ** s
-    return _same_domain(field, f.data * mult, field.transverse)
+    zero_mode_guard(zero_mode, [f] if s < 0 else [],
+                    "field carries a significant zero-frequency component; "
+                    "a negative frequency power cannot represent it "
+                    "(use zero_mode='drop' to discard it)")
+    return _same_domain(field, f.data * omega_power(f.grid, s, units), field.transverse)
 
 
 def curl(field: SpectralField) -> SpectralField:
@@ -313,8 +331,3 @@ def synthesize_from_amplitudes(amps: MomentumAmplitudes) -> SpectralField:
     table = _polarization_table(g)
     data = table[0] * amps.plus[None] + table[1] * amps.minus[None]
     return to_position(SpectralField(g, data, FREQUENCY, transverse=True))
-
-
-def check_same_grid(a, b):
-    if a.grid != b.grid:
-        raise GridMismatchError("objects live on different grids")

@@ -39,8 +39,7 @@ from .errors import ProfileTooWideError
 from .fields import SpectralField, l2_norm, magnitude, to_position
 from .grid import Grid
 from .operators import apply_frequency_power
-from .states import (BBState, LPState, bb_from_lp, lp_from_bb, normalize,
-                     state_magnitude)
+from .states import BBState, LPState, normalize, representation_images
 from .units import NATURAL, UnitsConfig
 
 
@@ -127,13 +126,9 @@ def state_curves(state):
     BB states with a nonzero mean get their LP image from the regularized
     inverse, matching the panel construction.
     """
-    if isinstance(state, LPState):
-        lp_abs = state_magnitude(state)
-        bb_abs = magnitude(to_position(bb_from_lp(state).f))
-    else:
-        bb_abs = state_magnitude(state)
-        lp_abs = magnitude(to_position(lp_from_bb(state, zero_mode="drop").psi))
-    return lp_abs, bb_abs, energy_density(state)
+    psi, f = representation_images(state)
+    return (magnitude(to_position(psi)), magnitude(to_position(f)),
+            energy_density(state))
 
 
 def figure2_report(grid: Grid, pulse_length: float = 1.0,

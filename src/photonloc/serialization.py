@@ -15,7 +15,7 @@ import numpy as np
 from .errors import SchemaError
 from .fields import POSITION, SpectralField, to_position
 from .grid import Grid
-from .states import BBState, LPState
+from .states import BBState, LPState, PhotonState
 from .units import UnitsConfig
 
 STATE_SCHEMA = "photonloc-state-v1"
@@ -89,19 +89,15 @@ def _component_payload(data: np.ndarray) -> dict:
 
 def save_state(state, path):
     """Serialize an LP or BB state to JSON (position-domain samples)."""
-    if isinstance(state, LPState):
-        rep, field = "lp", state.psi
-    elif isinstance(state, BBState):
-        rep, field = "bb", state.f
-    else:
+    if not isinstance(state, PhotonState):
         raise TypeError(f"expected LPState or BBState, got {type(state).__name__}")
-    field = to_position(field)
+    field = to_position(state.field)
     g = field.grid
     components = ([_component_payload(field.data)] if g.dim == 1
                   else [_component_payload(c) for c in field.data])
     payload = {
         "schema": STATE_SCHEMA,
-        "representation": rep,
+        "representation": state.representation,
         "units": {"hbar": state.units.hbar, "c": state.units.c,
                   "eps0": state.units.eps0},
         "grid": {"dim": g.dim, "length": g.length, "n": g.n},
@@ -119,7 +115,8 @@ def _require(payload: dict, key: str, path):
 
 
 def load_state(path):
-    """Inverse of save_state; raises SchemaError on malformed input."""
+    """Inverse of save_state; raises SchemaError on malformed input,
+    non-finite samples, grid length or units included."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -138,8 +135,10 @@ def load_state(path):
     try:
         grid = Grid(int(gd["dim"]), float(gd["length"]), int(gd["n"]))
         units = UnitsConfig(float(ud["hbar"]), float(ud["c"]), float(ud["eps0"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: bad grid or units block ({exc})") from exc
+    if not np.all(np.isfinite([grid.length, units.hbar, units.c, units.eps0])):
+        raise SchemaError(f"{path}: grid length and units must be finite")
     expected = 1 if grid.dim == 1 else 3
     if not isinstance(comps, list) or len(comps) != expected:
         raise SchemaError(f"{path}: expected {expected} components")
@@ -153,6 +152,8 @@ def load_state(path):
             raise SchemaError(f"{path}: component {i} malformed ({exc})") from exc
         if re.size != size or im.size != size:
             raise SchemaError(f"{path}: component {i} has wrong length")
+        if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+            raise SchemaError(f"{path}: component {i} has non-finite samples")
         arrays.append((re + 1j * im).reshape(grid.spatial_shape))
     data = arrays[0] if grid.dim == 1 else np.stack(arrays)
     field = SpectralField(grid, data, POSITION)

@@ -31,13 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (GridMismatchError, TransversalityError, ZeroModeError,
-                     ZeroStateError)
+from .errors import GridMismatchError, TransversalityError, ZeroStateError
 from .fields import (FREQUENCY, SpectralField, l2_norm, magnitude, to_frequency,
-                     to_position, zero_mode_amplitude)
-from .operators import (TRANSVERSE_TOL, ZERO_MODE_TOL, apply_frequency_power,
-                        helicity_apply, helicity_project, omega,
-                        transversality_residual)
+                     to_position)
+from .operators import (TRANSVERSE_TOL, apply_frequency_power, helicity_apply,
+                        helicity_project, omega, omega_power,
+                        transversality_residual, zero_mode_guard)
 from .units import NATURAL, UnitsConfig
 
 REAL_TOL = 1e-12
@@ -93,40 +92,55 @@ class EMFields:
 
 
 @dataclass(eq=False)
-class LPState:
-    """Landau-Peierls wave function with its unit system and L2 norm."""
+class PhotonState:
+    """Base of LPState and BBState: a single-photon state's field, its unit
+    system and its norm in the representation's own inner product.
 
-    psi: SpectralField
+    Each subclass names its ``representation`` ("lp" or "bb") and defines
+    the norm, which is computed once, when the state is built.
+    """
+
+    field: SpectralField
     units: UnitsConfig = NATURAL
 
     def __post_init__(self):
-        _check_state_field(self.psi)
-        self.norm_lp = l2_norm(self.psi)
+        _check_state_field(self.field)
+        self.norm = self._norm()
 
     @property
     def grid(self):
-        return self.psi.grid
+        return self.field.grid
 
 
-@dataclass(eq=False)
-class BBState:
-    """Riemann-Silberstein field with its unit system and weighted norm.
+class LPState(PhotonState):
+    """Landau-Peierls wave function psi; its norm is the plain L2 one."""
 
-    ``norm_bb`` uses the 1/w(k) weight with the zero mode excluded; for
+    representation = "lp"
+
+    @property
+    def psi(self) -> SpectralField:
+        return self.field
+
+    def _norm(self) -> float:
+        return l2_norm(self.field)
+
+
+class BBState(PhotonState):
+    """Riemann-Silberstein field F with the weighted norm.
+
+    The norm uses the 1/w(k) weight with the zero mode excluded; for
     zero-mean fields that is the exact norm, for mean-carrying fields it is
     the natural regularization (the excluded weight is infinite).
     """
 
-    f: SpectralField
-    units: UnitsConfig = NATURAL
-
-    def __post_init__(self):
-        _check_state_field(self.f)
-        self.norm_bb = float(np.sqrt(max(_bb_norm_squared(self.f, self.units), 0.0)))
+    representation = "bb"
 
     @property
-    def grid(self):
-        return self.f.grid
+    def f(self) -> SpectralField:
+        return self.field
+
+    def _norm(self) -> float:
+        return float(np.sqrt(max(_bb_norm_squared(self.field, self.units), 0.0)))
 
 
 @dataclass(eq=False)
@@ -139,10 +153,7 @@ class HelicityPair:
 
 def _bb_norm_squared(f: SpectralField, units: UnitsConfig) -> float:
     ff = to_frequency(f)
-    w = omega(ff.grid, units)
-    weight = np.zeros_like(w)
-    nz = w > 0.0
-    weight[nz] = 1.0 / w[nz]
+    weight = omega_power(ff.grid, -1.0, units)
     return float(ff.grid.k_cell_volume * np.sum(np.abs(ff.data) ** 2 * weight))
 
 
@@ -218,50 +229,42 @@ def bb_inner(a: BBState, b: BBState, zero_mode: str = "raise") -> complex:
     if a.units != b.units:
         raise ValueError("states use different unit systems")
     fa, fb = to_frequency(a.f), to_frequency(b.f)
-    if zero_mode == "raise":
-        for ff in (fa, fb):
-            peak = float(np.max(np.abs(ff.data)))
-            if peak > 0.0 and zero_mode_amplitude(ff) > ZERO_MODE_TOL * peak:
-                raise ZeroModeError(
+    zero_mode_guard(zero_mode, [fa, fb],
                     "BB inner product requires zero-mean fields "
                     "(use zero_mode='drop' to exclude the mode)")
-    elif zero_mode != "drop":
-        raise ValueError(f"zero_mode must be 'raise' or 'drop', got {zero_mode!r}")
-    w = omega(a.grid, a.units)
-    weight = np.zeros_like(w)
-    nz = w > 0.0
-    weight[nz] = 1.0 / w[nz]
+    weight = omega_power(a.grid, -1.0, a.units)
     return complex(a.grid.k_cell_volume * np.sum(np.conj(fa.data) * fb.data * weight))
-
-
-def state_norm(state) -> float:
-    return state.norm_lp if isinstance(state, LPState) else state.norm_bb
 
 
 def normalize(state):
     """Rescale to unit norm in the state's own inner product."""
-    n = state_norm(state)
+    n = state.norm
     if not (n > 1e-150):
         raise ZeroStateError("cannot normalize an identically vanishing state")
-    if isinstance(state, LPState):
-        return LPState(state.psi / n, state.units)
-    return BBState(state.f / n, state.units)
+    return type(state)(state.field / n, state.units)
 
 
 def evolve(state, t: float):
     """Free evolution by the diagonal phase exp(-i w(k) t)."""
-    field = state.psi if isinstance(state, LPState) else state.f
-    ff = to_frequency(field)
+    ff = to_frequency(state.field)
     phase = np.exp(-1j * omega(ff.grid, state.units) * float(t))
     out = SpectralField(ff.grid, ff.data * phase, FREQUENCY, ff.transverse)
-    if field.is_position:
+    if state.field.is_position:
         out = to_position(out)
-    if isinstance(state, LPState):
-        return LPState(out, state.units)
-    return BBState(out, state.units)
+    return type(state)(out, state.units)
 
 
 def state_magnitude(state) -> np.ndarray:
     """|psi| or |F| at the position nodes."""
-    field = state.psi if isinstance(state, LPState) else state.f
-    return magnitude(to_position(field))
+    return magnitude(to_position(state.field))
+
+
+def representation_images(state) -> tuple:
+    """The state's LP image psi and BB image F, as (psi, F).
+
+    One of the two is the state's own field.  A BB state's mean has no LP
+    image (W**(-1/2) has no value at k = 0), so its psi drops that mode.
+    """
+    if state.representation == "lp":
+        return state.field, bb_from_lp(state).field
+    return lp_from_bb(state, zero_mode="drop").field, state.field

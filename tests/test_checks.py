@@ -56,7 +56,7 @@ def test_random_compact_bump_is_compact(grid1, rng):
 
 def test_narrowband_state_centered(grid1, rng):
     state = narrowband_state(grid1, 10.0, 0.02, rng)
-    assert state.norm_lp == pytest.approx(1.0, rel=1e-12)
+    assert state.norm == pytest.approx(1.0, rel=1e-12)
     ff = to_frequency(state.psi)
     weights = np.abs(ff.data) ** 2
     k_mean = float(np.sum(grid1.k_axis * weights) / np.sum(weights))

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import photonloc
-from photonloc import Grid, LPState, SpectralField, save_state
+from photonloc import Grid, LPState, SpectralField, cli, save_state
+from photonloc.checks import SuiteResult, _at_most
 
 PANEL_LABELS = "abcdef"
 
@@ -141,6 +142,20 @@ def test_energy_file_errors(tmp_path):
     assert_cli_error(res)
 
 
+def test_energy_rejects_non_finite_samples(demo_dir, tmp_path):
+    out, _ = demo_dir
+    payload = json.loads((out / "states" / "state_a.json").read_text())
+    payload["components"][0]["re"][5] = float("nan")
+    state_path = tmp_path / "nan.json"
+    state_path.write_text(json.dumps(payload))
+    res = run_cli(["energy", str(state_path), "--plot", "none",
+                   "--output-dir", str(tmp_path)], cwd=tmp_path)
+    assert_cli_error(res)
+    assert "non-finite" in res.stderr
+    assert "total_energy" not in res.stdout
+    assert not (tmp_path / "energy.csv").exists()
+
+
 def test_locality_builtin_state(tmp_path):
     res = run_cli(["locality", "--grid-n", "1024",
                    "--output-dir", str(tmp_path)], cwd=tmp_path)
@@ -208,6 +223,15 @@ def test_check_detects_infeasible_floor(tmp_path):
     assert res.returncode == 2
     assert "NUMERICAL VERIFICATION FAILED" in res.stdout
     assert "failed:" in res.stdout
+
+
+def test_check_prints_the_comparator_of_a_failed_check(monkeypatch, capsys):
+    suites = [SuiteResult("planted", [_at_most("planted-at-most", 2.0, 1.0)])]
+    monkeypatch.setattr(cli, "run_all_checks", lambda **kwargs: suites)
+    assert cli.main(["check"]) == 2
+    stdout = capsys.readouterr().out
+    assert "  failed: planted-at-most: 2 <= 1 required" in stdout
+    assert "NUMERICAL VERIFICATION FAILED" in stdout
 
 
 def test_unknown_subcommand(tmp_path):

@@ -43,7 +43,6 @@ def test_two_path_agreement_random_states(grid1, grid3, rng):
     for grid in (grid1, grid3):
         state = lp_from_potentials(_random_em(grid, rng))
         emap = energy_density(state)
-        assert emap.source_path == "both"
         assert emap.two_path_discrepancy < 1e-10
         bb_map = energy_density(LPState(state.psi))
         assert np.max(np.abs(bb_map.values - emap.values)) \
@@ -63,7 +62,7 @@ def test_plane_wave_dominated_total(grid1):
     k = 7 * grid1.k_spacing
     emap = energy_density(state)
     assert emap.two_path_discrepancy < 1e-10
-    assert total_energy(emap) == pytest.approx(k * state.norm_lp ** 2, rel=1e-10)
+    assert total_energy(emap) == pytest.approx(k * state.norm ** 2, rel=1e-10)
     # the density of a single mode is uniform
     assert np.max(emap.values) == pytest.approx(np.min(emap.values), rel=1e-10)
 
@@ -73,7 +72,7 @@ def test_plane_wave_total_with_units(grid1):
     state = LPState(plane_wave(grid1, 7), units)
     omega = 3.0 * 7 * grid1.k_spacing
     total = total_energy(energy_density(state))
-    assert total == pytest.approx(2.0 * omega * state.norm_lp ** 2, rel=1e-10)
+    assert total == pytest.approx(2.0 * omega * state.norm ** 2, rel=1e-10)
 
 
 def test_plane_wave_dominated_total_3d(grid3):
@@ -81,7 +80,7 @@ def test_plane_wave_dominated_total_3d(grid3):
     state = LPState(phi)
     k = grid3.k_spacing * np.sqrt(5.0)
     total = total_energy(energy_density(state))
-    assert total == pytest.approx(k * state.norm_lp ** 2, rel=1e-10)
+    assert total == pytest.approx(k * state.norm ** 2, rel=1e-10)
 
 
 # ---------------------------------------------------------------- detectors
@@ -116,13 +115,13 @@ def test_interval_weights_values(grid1_small):
 
 
 def test_box_weights_exact_volume(grid3):
-    emap = EnergyDensityMap(grid3, np.ones(grid3.spatial_shape), "both", 0.0)
+    emap = EnergyDensityMap(grid3, np.ones(grid3.spatial_shape), 0.0)
     box = DetectorVolume.box((-1.0, -0.5, 0.25), (1.0, 1.5, 2.0))
     assert detector_energy(emap, box) == pytest.approx(2.0 * 2.0 * 1.75, rel=1e-12)
 
 
 def test_ball_weights_volume_and_monotonicity(grid3):
-    emap = EnergyDensityMap(grid3, np.ones(grid3.spatial_shape), "both", 0.0)
+    emap = EnergyDensityMap(grid3, np.ones(grid3.spatial_shape), 0.0)
     energies = [detector_energy(emap, DetectorVolume.ball((0.0, 0.0, 0.0), r))
                 for r in (0.5, 1.0, 2.0, 3.0)]
     assert all(b > a for a, b in zip(energies, energies[1:]))

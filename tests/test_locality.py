@@ -60,7 +60,7 @@ def test_support_guards(grid1_small):
 # --------------------------------------------------------------- tail fits
 
 def _synthetic_map(grid, values):
-    return EnergyDensityMap(grid, values, "both", 0.0)
+    return EnergyDensityMap(grid, values, 0.0)
 
 
 def test_tail_fit_recovers_power_law():
@@ -188,7 +188,7 @@ def test_vector_potential_construction(grid1):
     region = DetectorVolume.interval(-0.6, 0.6)
     c = vector_potential_localized_state(_odd_profile(grid1), region)
     assert c.recovery_deviation < 1e-10
-    assert c.state.norm_lp == pytest.approx(1.0, rel=1e-12)
+    assert c.state.norm == pytest.approx(1.0, rel=1e-12)
     assert abs(c.support.radii[0] - 0.5) <= 2.0 * grid1.spacing
     emap = energy_density(c.state)
     outside = detector_energy(emap, DetectorVolume.interval(2.0, 2.5))

@@ -51,9 +51,9 @@ def test_profile_validation(grid1):
 # ------------------------------------------------------------------ states
 
 def test_states_are_normalized():
-    assert make_lp_compact(GRID, 1.0).norm_lp == pytest.approx(1.0, rel=1e-12)
-    assert make_lp_extended(GRID, 1.0).norm_lp == pytest.approx(1.0, rel=1e-12)
-    assert make_bb_compact(GRID, 1.0).norm_bb == pytest.approx(1.0, rel=1e-12)
+    assert make_lp_compact(GRID, 1.0).norm == pytest.approx(1.0, rel=1e-12)
+    assert make_lp_extended(GRID, 1.0).norm == pytest.approx(1.0, rel=1e-12)
+    assert make_bb_compact(GRID, 1.0).norm == pytest.approx(1.0, rel=1e-12)
 
 
 def test_compact_states_share_the_profile_shape():

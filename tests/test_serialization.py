@@ -37,7 +37,7 @@ def test_bb_state_round_trip(tmp_path):
     back = load_state(path)
     assert isinstance(back, BBState)
     assert np.array_equal(back.f.data, to_position(state.f).data)
-    assert back.norm_bb == pytest.approx(state.norm_bb, rel=1e-12)
+    assert back.norm == pytest.approx(state.norm, rel=1e-12)
 
 
 def test_3d_state_round_trip(tmp_path, grid3, rng):
@@ -112,6 +112,21 @@ def test_load_state_schema_errors(tmp_path):
 
     bad = dict(good)
     bad["components"] = [{"re": good["components"][0]["re"]}]
+    with pytest.raises(SchemaError):
+        load_state(_dump(tmp_path, bad))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("where", ["sample", "length", "n", "unit"])
+def test_load_state_rejects_non_finite(tmp_path, where, value):
+    save_state(make_lp_compact(Grid(1, 16.0, 1024), 1.0), tmp_path / "good.json")
+    bad = _payload(tmp_path / "good.json")
+    if where == "sample":
+        bad["components"][0]["im"][17] = value
+    elif where in ("length", "n"):
+        bad["grid"][where] = value
+    else:
+        bad["units"]["c"] = value
     with pytest.raises(SchemaError):
         load_state(_dump(tmp_path, bad))
 

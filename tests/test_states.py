@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from photonloc import (FREQUENCY, BBState, EMFields, Grid, LPState,
-                       SpectralField, bb_from_em, bb_from_lp, bb_inner, evolve,
-                       l2_norm, lp_from_bb, lp_from_potentials, lp_inner,
-                       normalize, plane_wave, riemann_silberstein_split,
-                       riemann_silberstein_vector, state_magnitude, state_norm,
+                       PhotonState, SpectralField, bb_from_em, bb_from_lp,
+                       bb_inner, evolve, l2_norm, load_state, lp_from_bb,
+                       lp_from_potentials, lp_inner, normalize, omega,
+                       plane_wave, riemann_silberstein_split, save_state,
+                       riemann_silberstein_vector, state_magnitude,
                        strip_zero_mode, to_frequency, to_position,
                        transverse_project)
 from photonloc.errors import (GridMismatchError, TransversalityError,
                               ZeroModeError, ZeroStateError)
+from photonloc.checks import random_band_limited
 from photonloc.units import NATURAL, UnitsConfig
 
 
@@ -57,7 +59,7 @@ def _random_em(grid, rng):
 def test_zero_fields_give_zero_state(grid1_small):
     zero = SpectralField(grid1_small, np.zeros(grid1_small.n, dtype=complex))
     state = lp_from_potentials(EMFields(zero, zero))
-    assert state.norm_lp == 0.0
+    assert state.norm == 0.0
     assert np.max(state_magnitude(state)) == 0.0
 
 
@@ -105,7 +107,7 @@ def test_representation_round_trip(dim, rng):
     lp = lp_from_potentials(_random_em(grid, rng))
     back = lp_from_bb(bb_from_lp(lp))
     assert _rel(back.psi, lp.psi) < 1e-11
-    assert back.norm_lp == pytest.approx(lp.norm_lp, rel=1e-12)
+    assert back.norm == pytest.approx(lp.norm, rel=1e-12)
 
 
 @pytest.mark.parametrize("hbar", [1.0, 0.5, 2.0])
@@ -117,7 +119,7 @@ def test_inner_product_correspondence(hbar, grid1, rng):
     lhs = bb_inner(fa, fb)
     rhs = hbar * lp_inner(a, b)
     assert abs(lhs - rhs) < 1e-10 * abs(rhs)
-    assert fa.norm_bb == pytest.approx(np.sqrt(hbar) * a.norm_lp, rel=1e-12)
+    assert fa.norm == pytest.approx(np.sqrt(hbar) * a.norm, rel=1e-12)
 
 
 def test_cross_path_agreement(grid1, rng):
@@ -162,16 +164,59 @@ def test_rs_split_resolves_norm(grid1, rng):
 
 # ------------------------------------------------------- norms & evolution
 
+def _reference_norm(cls, field, units):
+    """The norm as each state class computed it before the shared base."""
+    if cls is LPState:
+        return l2_norm(field)
+    ff = to_frequency(field)
+    w = omega(ff.grid, units)
+    weight = np.zeros_like(w)
+    nz = w > 0.0
+    weight[nz] = 1.0 / w[nz]
+    return float(np.sqrt(max(
+        ff.grid.k_cell_volume * np.sum(np.abs(ff.data) ** 2 * weight), 0.0)))
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("cls, rep, alias", [(LPState, "lp", "psi"),
+                                             (BBState, "bb", "f")])
+def test_shared_state_interface(cls, rep, alias, dim, grid1_small, grid3,
+                                rng, tmp_path):
+    units = UnitsConfig(hbar=0.5, c=2.0, eps0=3.0)
+    field = to_position(random_band_limited(grid1_small if dim == 1 else grid3,
+                                            rng, transverse=True))
+    state = cls(field, units)
+    assert isinstance(state, PhotonState)
+    assert state.representation == rep
+    assert state.field is field
+    assert getattr(state, alias) is state.field
+    with pytest.raises(AttributeError):
+        setattr(state, alias, field)
+    assert state.grid == field.grid
+    assert state.norm == _reference_norm(cls, field, units)
+
+    unit = normalize(state)
+    assert type(unit) is cls and unit.units == units
+    assert unit.norm == pytest.approx(1.0, rel=1e-12)
+    moved = evolve(state, 0.7)
+    assert type(moved) is cls and moved.units == units
+
+    path = tmp_path / "state.json"
+    save_state(state, path)
+    back = load_state(path)
+    assert type(back) is cls
+    assert back.representation == rep
+    assert back.norm == state.norm
+
+
 def test_normalize_scaling(grid1, rng):
     lp = lp_from_potentials(_random_em(grid1, rng))
     scaled = LPState(7.0 * lp.psi)
-    assert scaled.norm_lp == pytest.approx(7.0 * lp.norm_lp, rel=1e-12)
+    assert scaled.norm == pytest.approx(7.0 * lp.norm, rel=1e-12)
     unit = normalize(scaled)
-    assert unit.norm_lp == pytest.approx(1.0, rel=1e-12)
+    assert unit.norm == pytest.approx(1.0, rel=1e-12)
     bb = normalize(bb_from_lp(lp))
-    assert bb.norm_bb == pytest.approx(1.0, rel=1e-12)
-    assert state_norm(unit) == unit.norm_lp
-    assert state_norm(bb) == bb.norm_bb
+    assert bb.norm == pytest.approx(1.0, rel=1e-12)
 
 
 def test_normalize_zero_state(grid1_small):
@@ -188,7 +233,7 @@ def test_evolve_identity_and_unitarity(grid1, rng):
     assert np.array_equal(evolve(freq_state, 0.0).psi.data, freq_state.psi.data)
     moved = evolve(lp, 1.3)
     assert moved.psi.is_position
-    assert moved.norm_lp == pytest.approx(lp.norm_lp, rel=1e-12)
+    assert moved.norm == pytest.approx(lp.norm, rel=1e-12)
     back = evolve(moved, -1.3)
     assert _rel(back.psi, lp.psi) < 1e-11
 
@@ -217,8 +262,8 @@ def test_lp_from_potentials_zero_mode(grid1):
     with pytest.raises(ZeroModeError):
         lp_from_potentials(EMFields(bump, bump))
     dropped = lp_from_potentials(EMFields(bump, bump), zero_mode="drop")
-    assert np.isfinite(dropped.norm_lp)
-    assert dropped.norm_lp > 0.0
+    assert np.isfinite(dropped.norm)
+    assert dropped.norm > 0.0
 
 
 def test_bb_inner_zero_mode(grid1, rng):
@@ -234,7 +279,7 @@ def test_bb_inner_zero_mode(grid1, rng):
         bb_inner(clean, clean, zero_mode="ignore")
     with pytest.raises(ZeroModeError):
         lp_from_bb(bump)
-    assert np.isfinite(lp_from_bb(bump, zero_mode="drop").norm_lp)
+    assert np.isfinite(lp_from_bb(bump, zero_mode="drop").norm)
 
 
 def test_inner_product_grid_and_units_guards(grid1, grid1_small, rng):
@@ -256,5 +301,5 @@ def test_lp_inner_sesquilinearity(grid1, rng):
     ip = lp_inner(a, b)
     assert lp_inner(LPState(2j * a.psi), b) == pytest.approx(-2j * ip, rel=1e-12)
     assert lp_inner(a, LPState(2j * b.psi)) == pytest.approx(2j * ip, rel=1e-12)
-    assert lp_inner(a, a).real == pytest.approx(a.norm_lp ** 2, rel=1e-12)
-    assert abs(lp_inner(a, a).imag) < 1e-12 * a.norm_lp ** 2
+    assert lp_inner(a, a).real == pytest.approx(a.norm ** 2, rel=1e-12)
+    assert abs(lp_inner(a, a).imag) < 1e-12 * a.norm ** 2
