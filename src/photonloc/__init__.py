@@ -20,15 +20,14 @@ from .fields import (FREQUENCY, POSITION, SpectralField, forward_transform,
                      to_position, zero_mode_amplitude)
 from .operators import (MomentumAmplitudes, PolarizationVector,
                         apply_frequency_power, curl, helicity_apply,
-                        helicity_project, momentum_amplitudes, omega,
-                        plane_wave, polarization_vector,
+                        helicity_parts, helicity_project, momentum_amplitudes,
+                        omega, plane_wave, polarization_vector,
                         synthesize_from_amplitudes, transversality_residual,
                         transverse_project)
-from .states import (BBState, EMFields, HelicityPair, LPState, PhotonState,
-                     bb_from_em, bb_from_lp, bb_inner, evolve, lp_from_bb,
+from .states import (BBState, EMFields, LPState, PhotonState, bb_from_em,
+                     bb_from_lp, bb_inner, evolve, lp_from_bb,
                      lp_from_potentials, lp_inner, normalize,
-                     riemann_silberstein_split, riemann_silberstein_vector,
-                     state_magnitude)
+                     riemann_silberstein_vector, state_magnitude)
 from .energy import (DetectorVolume, EnergyDensityMap, KnightReport,
                      detector_energy, energy_density, knight_locality_test,
                      total_energy, volume_weights)

@@ -30,7 +30,7 @@ from .locality import (PHYSICAL_FLOOR, _window_maxima, antilocality_witness,
                        helicity_vanishing_scan, support_estimate,
                        tail_exponent_fit, vector_potential_localized_state)
 from .operators import (apply_frequency_power, curl, helicity_apply,
-                        helicity_project, momentum_amplitudes, omega,
+                        helicity_parts, momentum_amplitudes, omega,
                         plane_wave, synthesize_from_amplitudes,
                         transversality_residual, transverse_project,
                         _polarization_table)
@@ -38,7 +38,7 @@ from .scenarios import figure2_report, make_lp_compact, sin2_profile
 from .serialization import jsonable, write_csv
 from .states import (BBState, EMFields, LPState, bb_from_em, bb_from_lp,
                      bb_inner, evolve, lp_from_bb, lp_from_potentials,
-                     lp_inner, normalize, riemann_silberstein_split)
+                     lp_inner, normalize)
 from .units import NATURAL, UnitsConfig
 
 
@@ -184,12 +184,13 @@ def suite_operator_algebra(grid1: Grid, grid3: Grid, n_fields: int = 50,
         comm = max(comm,
                    _rel(cc, apply_frequency_power(lam, 1.0)),
                    _rel(cc, helicity_apply(apply_frequency_power(f, 1.0))))
-        pp = helicity_project(f, +1)
-        pm = helicity_project(f, -1)
-        proj_idem = max(proj_idem, _rel(helicity_project(pp, +1), pp))
+        pp, pm = helicity_parts(f)
+        pp_plus, pp_minus = helicity_parts(pp)
+        proj_idem = max(proj_idem, _rel(pp_plus, pp))
         proj_annih = max(proj_annih,
-                         float(np.max(np.abs(helicity_project(pp, -1).data)))
+                         float(np.max(np.abs(pp_minus.data)))
                          / float(np.max(np.abs(f.data))))
+        del pp_plus, pp_minus  # else alive through the next iteration's peak
         proj_complete = max(proj_complete, _rel(pp + pm, f))
         half = apply_frequency_power(apply_frequency_power(f, 0.5), 0.5)
         half_power = max(half_power, _rel(half, apply_frequency_power(f, 1.0)))
@@ -202,7 +203,7 @@ def suite_operator_algebra(grid1: Grid, grid3: Grid, n_fields: int = 50,
     for _ in range(min(n_fields, 20)):
         f = random_band_limited(grid1, rng)
         lam1 = max(lam1, _rel(helicity_apply(helicity_apply(f)), f))
-        pp, pm = helicity_project(f, +1), helicity_project(f, -1)
+        pp, pm = helicity_parts(f)
         proj1 = max(proj1, _rel(pp + pm, f))
 
     table = _polarization_table(grid3)
@@ -285,16 +286,16 @@ def suite_isomorphism(grid1: Grid, grid3: Grid, n_pairs: int = 20,
         e3 = random_real_smooth(grid3, rng, transverse=True)
         b3 = random_real_smooth(grid3, rng, transverse=True)
         fb = bb_from_em(EMFields(e3, e3, b3))
-        pair = riemann_silberstein_split(fb)
-        pair_rebuild = max(pair_rebuild, _rel(pair.plus + pair.minus, to_position(fb.f)))
-        pair_eigen = max(pair_eigen, _rel(helicity_apply(pair.plus), pair.plus))
+        plus, minus = helicity_parts(fb.f)
+        pair_rebuild = max(pair_rebuild, _rel(plus + minus, to_position(fb.f)))
+        pair_eigen = max(pair_eigen, _rel(helicity_apply(plus), plus))
         scale = np.sqrt(NATURAL.eps0 / 2.0)
-        f_rs = scale * (e3 + 1j * NATURAL.c * b3)
+        rs_plus, rs_minus = helicity_parts(scale * (e3 + 1j * NATURAL.c * b3))
         rs_identity = max(
             rs_identity,
-            _rel(pair.plus, to_position(helicity_project(f_rs, +1))),
-            _rel(pair.minus.data,
-                 np.conj(to_position(helicity_project(f_rs, -1)).data)))
+            _rel(plus, to_position(rs_plus)),
+            _rel(minus.data, np.conj(to_position(rs_minus).data)))
+        del rs_plus, rs_minus  # else alive through the next iteration's peak
 
         a3 = random_real_smooth(grid3, rng, transverse=True)
         em = EMFields.from_potentials(e3, a3)
@@ -570,9 +571,7 @@ def suite_lemma_witnesses(figset, grid1: Grid, seed: int = 23,
         state = figset.states[label]
         field = state.field
         parent_peak = float(np.max(magnitude(to_position(field))))
-        zero_mean = strip_zero_mode(field)
-        for sign in (1, -1):
-            part = helicity_project(zero_mean, sign)
+        for part in helicity_parts(strip_zero_mode(field)):
             report = helicity_vanishing_scan(part, scan_window,
                                              reference_peak=parent_peak)
             if not report.identically_zero:
@@ -644,8 +643,11 @@ def run_all_checks(grid_n: int = 4096, domain: float = 16.0,
 
     ``grid_n`` sizes the random-corpus grids; the figure-based suites always
     run at the committed demonstration parameters (N = 4096, box 16) so
-    their numbers are comparable across configurations.
+    their numbers are comparable across configurations.  A ``floor`` that
+    is not finite and positive raises ValueError before any suite runs.
     """
+    if not (0.0 < floor < np.inf):
+        raise ValueError(f"floor must be finite and positive, got {floor}")
     grid1 = Grid(1, domain, grid_n)
     grid3 = Grid(3, domain, 64)
     fig_grid = Grid(1, 16.0, 4096)

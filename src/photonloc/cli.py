@@ -20,14 +20,15 @@ import sys
 import numpy as np
 
 from .checks import run_all_checks
-from .energy import DetectorVolume, knight_locality_test, total_energy
+from .energy import (DetectorVolume, energy_density, knight_locality_test,
+                     total_energy)
 from .errors import InsufficientWindowError, PhotonlocError
 from .fields import magnitude, strip_zero_mode, to_position
 from .grid import Grid
 from .locality import (PHYSICAL_FLOOR, antilocality_witness,
                        helicity_vanishing_scan, support_estimate,
                        tail_exponent_fit, vector_potential_localized_state)
-from .operators import helicity_project
+from .operators import helicity_parts
 from .scenarios import figure2_report, state_curves
 from .serialization import load_state, save_state, write_csv, write_json
 from .svgplot import line_plot
@@ -285,7 +286,7 @@ def cmd_locality(args) -> int:
         origin = "built-in lp-compact pulse"
     grid = state.grid
     field = state.field
-    emap = state_curves(state)[2]
+    emap = energy_density(state)
 
     if args.source_volume is not None:
         source = _parse_volume(args.source_volume, grid.dim)
@@ -316,14 +317,12 @@ def cmd_locality(args) -> int:
                                        DetectorVolume.interval(lo, lo + width),
                                        units)
 
-    scans = {}
     scan_window = max(grid.length / 50.0, 5.0 * grid.spacing)
     parent_peak = float(np.max(magnitude(to_position(field))))
-    zero_mean = strip_zero_mode(field)
-    for sign, name in ((1, "plus"), (-1, "minus")):
-        part = helicity_project(zero_mean, sign)
-        scans[name] = helicity_vanishing_scan(part, scan_window,
-                                              reference_peak=parent_peak)
+    scans = {name: helicity_vanishing_scan(part, scan_window,
+                                           reference_peak=parent_peak)
+             for name, part in zip(("plus", "minus"),
+                                   helicity_parts(strip_zero_mode(field)))}
 
     vp = None
     if grid.dim == 1:
@@ -337,7 +336,7 @@ def cmd_locality(args) -> int:
         xi = SpectralField(grid, xi_data)
         vp_built = vector_potential_localized_state(
             xi, DetectorVolume.interval(-half, half), units)
-        vp_map = state_curves(vp_built.state)[2]
+        vp_map = energy_density(vp_built.state)
         vp = {
             "support": vp_built.support,
             "recovery_deviation": vp_built.recovery_deviation,

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import VolumeOutOfDomainError
-from .fields import SpectralField, magnitude, strip_zero_mode, to_position
+from .fields import magnitude, strip_zero_mode, to_position
 from .grid import Grid
-from .operators import apply_frequency_power, helicity_project
+from .operators import apply_frequency_power, helicity_parts
 from .states import PhotonState, representation_images
 
 
@@ -43,11 +43,10 @@ class EnergyDensityMap:
             raise ValueError("values must match the grid's spatial shape")
 
 
-def _helicity_quadrance(field: SpectralField) -> np.ndarray:
-    """|P(+) f|**2 + |P(-) f|**2 at the position nodes."""
-    fp = to_position(helicity_project(field, +1))
-    fm = to_position(helicity_project(field, -1))
-    return magnitude(fp) ** 2 + magnitude(fm) ** 2
+def _quadrance(parts) -> np.ndarray:
+    """|v(+)|**2 + |v(-)|**2 at the position nodes, for a pair of helicity parts."""
+    plus, minus = (magnitude(to_position(p)) for p in parts)
+    return plus ** 2 + minus ** 2
 
 
 def energy_density(state) -> EnergyDensityMap:
@@ -58,13 +57,10 @@ def energy_density(state) -> EnergyDensityMap:
     f_ref = f_full if state.representation == "lp" else strip_zero_mode(f_full)
 
     u = state.units
-    half_plus = apply_frequency_power(helicity_project(psi, +1), 0.5, u)
-    half_minus = apply_frequency_power(helicity_project(psi, -1), 0.5, u)
-    lp_vals = u.hbar * (magnitude(to_position(half_plus)) ** 2
-                        + magnitude(to_position(half_minus)) ** 2)
-
-    bb_vals = _helicity_quadrance(f_full)
-    bb_ref = bb_vals if f_ref is f_full else _helicity_quadrance(f_ref)
+    lp_vals = u.hbar * _quadrance(apply_frequency_power(p, 0.5, u)
+                                  for p in helicity_parts(psi))
+    bb_vals = _quadrance(helicity_parts(f_full))
+    bb_ref = bb_vals if f_ref is f_full else _quadrance(helicity_parts(f_ref))
 
     scale = float(np.max(bb_ref))
     disc = 0.0 if scale == 0.0 else float(np.max(np.abs(lp_vals - bb_ref))) / scale
@@ -209,8 +205,8 @@ def knight_locality_test(emap: EnergyDensityMap, source: DetectorVolume,
     peak = float(np.max(emap.values))
     if floor is None:
         floor = 1e-12 * peak if peak > 0.0 else float(np.finfo(np.float64).tiny)
-    if not (floor > 0.0):
-        raise ValueError("floor must be positive")
+    if not (0.0 < floor < np.inf):
+        raise ValueError(f"floor must be finite and positive, got {floor}")
 
     g = emap.grid
     if g.dim == 1:

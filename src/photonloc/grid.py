@@ -31,8 +31,8 @@ class Grid:
     def __post_init__(self):
         if self.dim not in (1, 3):
             raise ValueError(f"dim must be 1 or 3, got {self.dim}")
-        if not (self.length > 0.0):
-            raise ValueError(f"length must be positive, got {self.length}")
+        if not (0.0 < self.length < np.inf):
+            raise ValueError(f"length must be finite and positive, got {self.length}")
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError(f"n must be a positive even integer, got {self.n}")
 

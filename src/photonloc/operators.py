@@ -176,14 +176,29 @@ def helicity_apply(field: SpectralField) -> SpectralField:
     return _same_domain(field, out, True)
 
 
+def _helicity_parts(field: SpectralField, signs) -> tuple:
+    """(1 + sign*L)/2 applied to the field for each sign, from one L.v."""
+    f = to_frequency(field)
+    lam = helicity_apply(f)
+    transverse = lam.transverse or field.transverse
+    return tuple(_same_domain(field, 0.5 * (f.data + sign * lam.data), transverse)
+                 for sign in signs)
+
+
 def helicity_project(field: SpectralField, sign: int) -> SpectralField:
     """Projector onto the helicity-(+1) or (-1) subspace, (1 + sign*L)/2."""
     if sign not in (1, -1):
         raise ValueError(f"helicity sign must be +1 or -1, got {sign}")
-    f = to_frequency(field)
-    lam = helicity_apply(f)
-    out = 0.5 * (f.data + sign * lam.data)
-    return _same_domain(field, out, lam.transverse or field.transverse)
+    return _helicity_parts(field, (sign,))[0]
+
+
+def helicity_parts(field: SpectralField) -> tuple:
+    """Both helicity parts (P(+) v, P(-) v), in the input's domain.
+
+    They equal two helicity_project calls exactly, at the cost of one
+    forward transform and one application of L.
+    """
+    return _helicity_parts(field, (1, -1))
 
 
 @dataclass(frozen=True)

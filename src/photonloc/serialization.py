@@ -137,8 +137,6 @@ def load_state(path):
         units = UnitsConfig(float(ud["hbar"]), float(ud["c"]), float(ud["eps0"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: bad grid or units block ({exc})") from exc
-    if not np.all(np.isfinite([grid.length, units.hbar, units.c, units.eps0])):
-        raise SchemaError(f"{path}: grid length and units must be finite")
     expected = 1 if grid.dim == 1 else 3
     if not isinstance(comps, list) or len(comps) != expected:
         raise SchemaError(f"{path}: expected {expected} components")

@@ -35,8 +35,8 @@ from .errors import GridMismatchError, TransversalityError, ZeroStateError
 from .fields import (FREQUENCY, SpectralField, l2_norm, magnitude, to_frequency,
                      to_position)
 from .operators import (TRANSVERSE_TOL, apply_frequency_power, helicity_apply,
-                        helicity_project, omega, omega_power,
-                        transversality_residual, zero_mode_guard)
+                        omega, omega_power, transversality_residual,
+                        zero_mode_guard)
 from .units import NATURAL, UnitsConfig
 
 REAL_TOL = 1e-12
@@ -143,14 +143,6 @@ class BBState(PhotonState):
         return float(np.sqrt(max(_bb_norm_squared(self.field, self.units), 0.0)))
 
 
-@dataclass(eq=False)
-class HelicityPair:
-    """The two circularly polarized parts of a field."""
-
-    plus: SpectralField
-    minus: SpectralField
-
-
 def _bb_norm_squared(f: SpectralField, units: UnitsConfig) -> float:
     ff = to_frequency(f)
     weight = omega_power(ff.grid, -1.0, units)
@@ -202,12 +194,6 @@ def bb_from_em(em: EMFields, units: UnitsConfig = NATURAL) -> BBState:
     if em.b is None:
         em = EMFields.from_potentials(em.e, em.a)
     return BBState(riemann_silberstein_vector(em.e, em.b, units), units)
-
-
-def riemann_silberstein_split(state: BBState) -> HelicityPair:
-    """Split F into its helicity eigenparts F = F(+) + F(-)."""
-    return HelicityPair(helicity_project(state.f, +1),
-                        helicity_project(state.f, -1))
 
 
 def lp_inner(a: LPState, b: LPState) -> complex:

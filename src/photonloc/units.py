@@ -7,6 +7,7 @@ explicitly and results can be rescaled to any consistent unit system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -21,8 +22,8 @@ class UnitsConfig:
     def __post_init__(self):
         for name in ("hbar", "c", "eps0"):
             value = getattr(self, name)
-            if not (value > 0.0):
-                raise ValueError(f"{name} must be positive, got {value!r}")
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 NATURAL = UnitsConfig()

@@ -5,7 +5,7 @@ from photonloc import (CheckResult, Grid, SuiteResult, l2_norm, to_frequency,
                        to_position)
 from photonloc.checks import (band_limit, narrowband_state,
                               random_band_limited, random_compact_bump,
-                              random_real_smooth)
+                              random_real_smooth, run_all_checks)
 from photonloc.fields import zero_mode_amplitude
 from photonloc.operators import transversality_residual
 
@@ -62,3 +62,9 @@ def test_narrowband_state_centered(grid1, rng):
     k_mean = float(np.sum(grid1.k_axis * weights) / np.sum(weights))
     assert k_mean == pytest.approx(10.0, rel=0.01)
     assert zero_mode_amplitude(ff) == 0.0
+
+
+@pytest.mark.parametrize("floor", [np.inf, np.nan, 0.0, -1e-8])
+def test_run_all_checks_rejects_a_floor_that_is_not_finite_and_positive(floor):
+    with pytest.raises(ValueError, match="floor must be finite and positive"):
+        run_all_checks(grid_n=256, n_fields=4, floor=floor)

@@ -225,6 +225,37 @@ def test_check_detects_infeasible_floor(tmp_path):
     assert "failed:" in res.stdout
 
 
+@pytest.mark.parametrize("args", [
+    ["locality", "--grid-n", "1024", "--floor", "inf"],
+    ["locality", "--grid-n", "1024", "--floor", "nan"],
+    ["check", "--grid-n", "256", "--n-fields", "4", "--floor", "nan"],
+    ["check", "--grid-n", "256", "--n-fields", "4", "--floor", "inf"],
+    ["check", "--grid-n", "256", "--n-fields", "4", "--floor", "0"],
+])
+def test_floor_must_be_finite_and_positive(tmp_path, args):
+    res = run_cli(args + ["--format", "json", "--output-dir", str(tmp_path)],
+                  cwd=tmp_path)
+    assert_cli_error(res)
+    assert "floor must be finite and positive" in res.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["demo-fig2", "--domain-length", "inf"],
+    ["demo-fig2", "--c", "inf"],
+    ["demo-fig2", "--eps0=-inf"],
+    ["locality", "--domain-length", "inf"],
+    ["locality", "--hbar", "inf"],
+])
+def test_non_finite_grid_or_units_exit_1(tmp_path, args):
+    res = run_cli(args + ["--grid-n", "1024", "--output-dir", str(tmp_path)],
+                  cwd=tmp_path)
+    assert_cli_error(res)
+    assert "must be finite and positive" in res.stderr
+    assert "RuntimeWarning" not in res.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_check_prints_the_comparator_of_a_failed_check(monkeypatch, capsys):
     suites = [SuiteResult("planted", [_at_most("planted-at-most", 2.0, 1.0)])]
     monkeypatch.setattr(cli, "run_all_checks", lambda **kwargs: suites)

@@ -187,8 +187,9 @@ def test_knight_validation(grid1, rng):
     with pytest.raises(ValueError):
         knight_locality_test(emap, DetectorVolume.interval(-1.0, 1.0),
                              probe_cells=1)
-    with pytest.raises(ValueError):
-        knight_locality_test(emap, DetectorVolume.interval(-1.0, 1.0),
-                             floor=-1.0)
+    for floor in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            knight_locality_test(emap, DetectorVolume.interval(-1.0, 1.0),
+                                 floor=floor)
     with pytest.raises(VolumeOutOfDomainError):
         knight_locality_test(emap, DetectorVolume.interval(-9.0, 1.0))

@@ -47,8 +47,11 @@ def test_alternating_phase_values():
 def test_validation():
     with pytest.raises(ValueError):
         Grid(2, 8.0, 16)
-    with pytest.raises(ValueError):
-        Grid(1, -1.0, 16)
+    for length in (-1.0, 0.0, np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            Grid(1, length, 16)
+        with pytest.raises(ValueError, match="finite and positive"):
+            Grid(3, length, 8)
     with pytest.raises(ValueError):
         Grid(1, 8.0, 17)
     with pytest.raises(ValueError):
@@ -62,3 +65,4 @@ def test_hashable_and_frozen():
     with pytest.raises(Exception):
         a.n = 32
     assert not a.axis.flags.writeable
+

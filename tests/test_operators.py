@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from photonloc import (FREQUENCY, Grid, SpectralField, apply_frequency_power,
-                       curl, helicity_apply, helicity_project, l2_inner,
+from photonloc import (FREQUENCY, POSITION, Grid, SpectralField,
+                       apply_frequency_power, curl, helicity_apply,
+                       helicity_parts, helicity_project, l2_inner,
                        l2_norm, momentum_amplitudes, plane_wave,
                        polarization_vector, strip_zero_mode,
                        synthesize_from_amplitudes, to_frequency, to_position,
                        transversality_residual, transverse_project)
 from photonloc.errors import (DimensionError, TransversalityError,
                               ZeroModeError, ZeroWaveVectorError)
+from photonloc.checks import random_band_limited
 from photonloc.units import UnitsConfig
 
 
@@ -122,6 +124,22 @@ def test_helicity_squared_and_projectors_3d(grid3, rng):
     assert np.max(np.abs(helicity_project(pp, -1).data)) < 1e-12 * np.max(np.abs(f.data))
     assert _rel(pp + pm, f) < 1e-12
     assert _rel(helicity_apply(pp), pp) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("domain", [POSITION, FREQUENCY])
+def test_helicity_parts_equal_two_projections(grid1_small, grid3, rng, dim, domain):
+    f = random_band_limited(grid1_small if dim == 1 else grid3, rng,
+                            transverse=True)
+    if domain == POSITION:
+        f = to_position(f)
+    parts = helicity_parts(f)
+    assert len(parts) == 2
+    for part, sign in zip(parts, (+1, -1)):
+        ref = helicity_project(f, sign)
+        assert part.domain == ref.domain == domain
+        assert part.transverse == ref.transverse
+        assert np.array_equal(part.data, ref.data)
 
 
 def test_helicity_requires_transversality(grid3, rng):
