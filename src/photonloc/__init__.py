@@ -18,12 +18,11 @@ from .fields import (FREQUENCY, POSITION, SpectralField, forward_transform,
                      inverse_transform, l2_inner, l2_norm, magnitude,
                      peak_magnitude, strip_zero_mode, to_frequency,
                      to_position, zero_mode_amplitude)
-from .operators import (MomentumAmplitudes, PolarizationVector,
-                        apply_frequency_power, curl, helicity_apply,
-                        helicity_parts, helicity_project, momentum_amplitudes,
-                        omega, plane_wave, polarization_vector,
-                        synthesize_from_amplitudes, transversality_residual,
-                        transverse_project)
+from .operators import (MomentumAmplitudes, apply_frequency_power, curl,
+                        helicity_apply, helicity_parts, helicity_project,
+                        momentum_amplitudes, omega, plane_wave,
+                        polarization_vector, synthesize_from_amplitudes,
+                        transversality_residual, transverse_project)
 from .states import (BBState, EMFields, LPState, PhotonState, bb_from_em,
                      bb_from_lp, bb_inner, evolve, lp_from_bb,
                      lp_from_potentials, lp_inner, normalize,

@@ -32,8 +32,7 @@ from .locality import (PHYSICAL_FLOOR, _window_maxima, antilocality_witness,
 from .operators import (apply_frequency_power, curl, helicity_apply,
                         helicity_parts, momentum_amplitudes, omega,
                         plane_wave, synthesize_from_amplitudes,
-                        transversality_residual, transverse_project,
-                        _polarization_table)
+                        transversality_residual, transverse_project)
 from .scenarios import figure2_report, make_lp_compact, sin2_profile
 from .serialization import jsonable, write_csv
 from .states import (BBState, EMFields, LPState, bb_from_em, bb_from_lp,
@@ -99,7 +98,7 @@ def band_limit(grid: Grid) -> float:
 
 def random_band_limited(grid: Grid, rng, transverse: bool = False) -> SpectralField:
     """Zero-mean complex field with white spectrum below the band limit."""
-    shape = grid.spatial_shape if grid.dim == 1 else (3,) + grid.spatial_shape
+    shape = grid.field_shape
     data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     mask = (grid.k_magnitude > 0.0) & (grid.k_magnitude <= band_limit(grid))
     data = data * mask
@@ -111,13 +110,11 @@ def random_band_limited(grid: Grid, rng, transverse: bool = False) -> SpectralFi
 
 def random_real_smooth(grid: Grid, rng, transverse: bool = False) -> SpectralField:
     """Real, zero-mean, spectrally smooth position-domain field."""
-    shape = grid.spatial_shape if grid.dim == 1 else (3,) + grid.spatial_shape
-    noise = SpectralField(grid, rng.standard_normal(shape))
+    noise = SpectralField(grid, rng.standard_normal(grid.field_shape))
     f = to_frequency(noise)
     envelope = np.exp(-((grid.k_magnitude / (0.15 * band_limit(grid))) ** 2))
     data = f.data * envelope
-    idx = grid.zero_mode_index() if grid.dim == 1 else (slice(None),) + grid.zero_mode_index()
-    data[idx] = 0.0
+    data[grid.zero_mode_index()] = 0.0
     out = SpectralField(grid, data, FREQUENCY)
     if transverse and grid.dim == 3:
         out = transverse_project(out)
@@ -206,7 +203,7 @@ def suite_operator_algebra(grid1: Grid, grid3: Grid, n_fields: int = 50,
         pp, pm = helicity_parts(f)
         proj1 = max(proj1, _rel(pp + pm, f))
 
-    table = _polarization_table(grid3)
+    table = grid3.polarization_table
     nz = grid3.k_magnitude > 0.0
     norms = np.sqrt(np.sum(np.abs(table[0]) ** 2, axis=0))
     pol_norm = float(np.max(np.abs(norms[nz] - 1.0)))
@@ -641,15 +638,19 @@ def run_all_checks(grid_n: int = 4096, domain: float = 16.0,
                    units: UnitsConfig = NATURAL) -> list:
     """Run every suite and return the list of SuiteResults.
 
-    ``grid_n`` sizes the random-corpus grids; the figure-based suites always
-    run at the committed demonstration parameters (N = 4096, box 16) so
-    their numbers are comparable across configurations.  A ``floor`` that
-    is not finite and positive raises ValueError before any suite runs.
+    ``grid_n`` sizes the random-corpus grids: the 1d grid has ``grid_n``
+    points, the 3d grid the even part of sqrt(grid_n) per axis within
+    [16, 64], so the default gives 64**3 (at 8**3 the transversality checks
+    fail).  The figure-based suites always run at the committed
+    demonstration parameters (N = 4096, box 16) so their numbers are
+    comparable across configurations.  A ``floor`` that is not finite and
+    positive raises ValueError before any suite runs.
     """
     if not (0.0 < floor < np.inf):
         raise ValueError(f"floor must be finite and positive, got {floor}")
     grid1 = Grid(1, domain, grid_n)
-    grid3 = Grid(3, domain, 64)
+    n3 = 2 * (int(np.sqrt(grid_n)) // 2)
+    grid3 = Grid(3, domain, min(64, max(16, n3)))
     fig_grid = Grid(1, 16.0, 4096)
     figset = figure2_report(fig_grid, pulse_length, units)
     return [

@@ -23,13 +23,13 @@ from .checks import run_all_checks
 from .energy import (DetectorVolume, energy_density, knight_locality_test,
                      total_energy)
 from .errors import InsufficientWindowError, PhotonlocError
-from .fields import magnitude, strip_zero_mode, to_position
+from .fields import SpectralField, magnitude, strip_zero_mode, to_position
 from .grid import Grid
 from .locality import (PHYSICAL_FLOOR, antilocality_witness,
                        helicity_vanishing_scan, support_estimate,
                        tail_exponent_fit, vector_potential_localized_state)
 from .operators import helicity_parts
-from .scenarios import figure2_report, state_curves
+from .scenarios import figure2_report, make_lp_compact, state_curves
 from .serialization import load_state, save_state, write_csv, write_json
 from .svgplot import line_plot
 from .units import NATURAL, UnitsConfig
@@ -122,7 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
                            description="Run the numerical verification suites "
                                        "and print one row per suite.")
     check.add_argument("--grid-n", type=int, default=4096,
-                       help="corpus grid points (default 4096)")
+                       help="1d corpus grid points N; the 3d corpus takes "
+                            "the even part of sqrt(N) per axis, kept within "
+                            "16..64 (default 4096, i.e. 64^3)")
     check.add_argument("--domain-length", type=float, default=16.0,
                        help="corpus box length (default 16)")
     check.add_argument("--pulse-length", type=float, default=1.0,
@@ -280,7 +282,6 @@ def cmd_locality(args) -> int:
         state = load_state(args.state_file)
         origin = args.state_file
     else:
-        from .scenarios import make_lp_compact
         grid = Grid(1, args.domain_length, args.grid_n)
         state = make_lp_compact(grid, args.pulse_length, units)
         origin = "built-in lp-compact pulse"
@@ -332,7 +333,6 @@ def cmd_locality(args) -> int:
             np.abs(x) <= half,
             np.sin(2.0 * np.pi * x / args.pulse_length)
             * np.cos(np.pi * x / args.pulse_length) ** 2, 0.0)
-        from .fields import SpectralField
         xi = SpectralField(grid, xi_data)
         vp_built = vector_potential_localized_state(
             xi, DetectorVolume.interval(-half, half), units)

@@ -49,7 +49,7 @@ class SpectralField:
         if self.domain not in (POSITION, FREQUENCY):
             raise ValueError(f"domain must be position or frequency, got {self.domain!r}")
         data = np.asarray(self.data, dtype=np.complex128)
-        expected = self.grid.spatial_shape if self.grid.dim == 1 else (3,) + self.grid.spatial_shape
+        expected = self.grid.field_shape
         if data.shape != expected:
             raise ValueError(f"data shape {data.shape} does not match grid shape {expected}")
         self.data = data
@@ -110,21 +110,14 @@ def zero_mode_amplitude(field: SpectralField) -> float:
     """Largest component magnitude at the zero mode of a frequency field."""
     if not field.is_frequency:
         raise DomainError("zero-mode amplitude is defined for frequency fields")
-    idx = field.grid.zero_mode_index()
-    if field.grid.dim == 1:
-        return float(np.abs(field.data[idx]))
-    return float(np.max(np.abs(field.data[(slice(None),) + idx])))
+    return float(np.max(np.abs(field.data[field.grid.zero_mode_index()])))
 
 
 def strip_zero_mode(field: SpectralField) -> SpectralField:
     """The field with its spatial mean removed (returned in frequency domain)."""
     f = to_frequency(field)
     data = f.data.copy()
-    idx = f.grid.zero_mode_index()
-    if f.grid.dim == 1:
-        data[idx] = 0.0
-    else:
-        data[(slice(None),) + idx] = 0.0
+    data[f.grid.zero_mode_index()] = 0.0
     return SpectralField(f.grid, data, FREQUENCY, f.transverse)
 
 

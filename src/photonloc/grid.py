@@ -4,7 +4,9 @@ A grid samples the centered box [-L/2, L/2)^d at n points per axis,
 x_j = -L/2 + j*dx, and carries the dual wavevector lattice k_m = 2*pi*m/L
 with integer mode numbers m in {-n/2, ..., n/2 - 1}.  Frequency-domain
 arrays throughout the package are stored in FFT order (mode 0 first), so
-index 0 along each spectral axis is always the zero mode.
+index 0 along each spectral axis is always the zero mode.  The grid also
+owns the layout of a field's data (``field_shape``, ``zero_mode_index``)
+and caches every k-space table, the circular polarization vectors included.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .errors import DimensionError
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -49,6 +53,11 @@ class Grid:
     @property
     def spatial_shape(self) -> tuple:
         return (self.n,) * self.dim
+
+    @property
+    def field_shape(self) -> tuple:
+        """Data shape of a field: (n,) in 1d, (3, n, n, n) in 3d."""
+        return self.spatial_shape if self.dim == 1 else (3,) + self.spatial_shape
 
     @property
     def cell_volume(self) -> float:
@@ -130,5 +139,30 @@ class Grid:
         )
 
     def zero_mode_index(self) -> tuple:
-        """Index of the zero mode in a spectral array (spatial axes only)."""
-        return (0,) * self.dim
+        """Index of the zero mode in a frequency field's data, every vector
+        component included: (0,) in 1d, (:, 0, 0, 0) in 3d."""
+        return (0,) if self.dim == 1 else (slice(None), 0, 0, 0)
+
+    @cached_property
+    def polarization_table(self) -> np.ndarray:
+        """eps_sigma(k) for every lattice mode, shape (2, 3, n, n, n).
+
+        Index 0 holds sigma = +1.  The k = 0 entry is identically zero, so any
+        amplitude attached to it is discarded by both analysis and synthesis.
+        """
+        if self.dim != 3:
+            raise DimensionError("polarization vectors need a three-dimensional grid")
+        kx, ky, kz = (np.broadcast_to(c, self.spatial_shape) for c in self.k_vectors)
+        kmag = self.k_magnitude
+        kperp2 = kx ** 2 + ky ** 2
+        generic = kperp2 > 0.0
+        axis = (kperp2 == 0.0) & (np.abs(kz) > 0.0)
+        denom = np.where(generic, np.sqrt(2.0) * kmag * np.sqrt(kperp2), 1.0)
+        plus = np.zeros(self.field_shape, dtype=np.complex128)
+        plus[0] = np.where(generic, (-kx * kz + 1j * kmag * ky) / denom, 0.0)
+        plus[1] = np.where(generic, (-ky * kz - 1j * kmag * kx) / denom, 0.0)
+        plus[2] = np.where(generic, kperp2 / denom, 0.0)
+        inv_sqrt2 = 1.0 / np.sqrt(2.0)
+        plus[0] = np.where(axis, -np.sign(kz) * inv_sqrt2, plus[0])
+        plus[1] = np.where(axis, -1j * inv_sqrt2, plus[1])
+        return _readonly(np.stack([plus, np.conj(plus)]))

@@ -17,7 +17,6 @@ wavevectors play the role of the two polarizations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -145,7 +144,7 @@ def transverse_project(field: SpectralField) -> SpectralField:
     out[0] = vx - ux * longdot
     out[1] = vy - uy * longdot
     out[2] = vz - uz * longdot
-    idx = (slice(None),) + f.grid.zero_mode_index()
+    idx = f.grid.zero_mode_index()
     out[idx] = f.data[idx]
     return _same_domain(field, out, True)
 
@@ -171,8 +170,7 @@ def helicity_apply(field: SpectralField) -> SpectralField:
     out[0] = 1j * (uy * vz - uz * vy)
     out[1] = 1j * (uz * vx - ux * vz)
     out[2] = 1j * (ux * vy - uy * vx)
-    idx = (slice(None),) + g.zero_mode_index()
-    out[idx] = 0.0
+    out[g.zero_mode_index()] = 0.0
     return _same_domain(field, out, True)
 
 
@@ -201,20 +199,9 @@ def helicity_parts(field: SpectralField) -> tuple:
     return _helicity_parts(field, (1, -1))
 
 
-@dataclass(frozen=True)
-class PolarizationVector:
-    """Circular polarization unit vector for one wavevector."""
-
-    k: tuple
-    sigma: int
-    eps: tuple
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.eps, dtype=np.complex128)
-
-
-def polarization_vector(k, sigma: int) -> PolarizationVector:
-    """Helicity eigenvector of i k^ x with eigenvalue ``sigma``.
+def polarization_vector(k, sigma: int) -> np.ndarray:
+    """Helicity eigenvector of i k^ x with eigenvalue ``sigma``, a complex
+    3-vector.
 
     The pair is orthonormal, transverse, and satisfies
     eps(-) = conj(eps(+)).  On the z-axis, where the generic formula
@@ -236,34 +223,7 @@ def polarization_vector(k, sigma: int) -> PolarizationVector:
             -ky * kz - 1j * kmag * kx,
             kperp2,
         ], dtype=np.complex128) / denom
-    if sigma == -1:
-        eps = np.conj(eps)
-    return PolarizationVector((kx, ky, kz), sigma, tuple(eps))
-
-
-@lru_cache(maxsize=8)
-def _polarization_table(grid: Grid) -> np.ndarray:
-    """eps_sigma(k) for every lattice mode, shape (2, 3, n, n, n).
-
-    Index 0 holds sigma = +1.  The k = 0 entry is identically zero, so any
-    amplitude attached to it is discarded by both analysis and synthesis.
-    """
-    kx, ky, kz = (np.broadcast_to(c, grid.spatial_shape) for c in grid.k_vectors)
-    kmag = grid.k_magnitude
-    kperp2 = kx ** 2 + ky ** 2
-    generic = kperp2 > 0.0
-    axis = (kperp2 == 0.0) & (np.abs(kz) > 0.0)
-    denom = np.where(generic, np.sqrt(2.0) * kmag * np.sqrt(kperp2), 1.0)
-    plus = np.zeros((3,) + grid.spatial_shape, dtype=np.complex128)
-    plus[0] = np.where(generic, (-kx * kz + 1j * kmag * ky) / denom, 0.0)
-    plus[1] = np.where(generic, (-ky * kz - 1j * kmag * kx) / denom, 0.0)
-    plus[2] = np.where(generic, kperp2 / denom, 0.0)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    plus[0] = np.where(axis, -np.sign(kz) * inv_sqrt2, plus[0])
-    plus[1] = np.where(axis, -1j * inv_sqrt2, plus[1])
-    table = np.stack([plus, np.conj(plus)])
-    table.setflags(write=False)
-    return table
+    return eps if sigma == 1 else np.conj(eps)
 
 
 def plane_wave(grid: Grid, mode_index, sigma: int = None) -> SpectralField:
@@ -287,7 +247,7 @@ def plane_wave(grid: Grid, mode_index, sigma: int = None) -> SpectralField:
     if sigma not in (1, -1):
         raise ValueError("a three-dimensional plane wave needs sigma = +1 or -1")
     kvec = grid.k_spacing * np.array([mx, my, mz], dtype=np.float64)
-    eps = polarization_vector(kvec, sigma).as_array()
+    eps = polarization_vector(kvec, sigma)
     x, y, z = grid.position_mesh()
     phase = np.exp(1j * (kvec[0] * x + kvec[1] * y + kvec[2] * z))
     data = (2.0 * np.pi) ** -1.5 * eps[:, None, None, None] * phase[None, :, :, :]
@@ -330,7 +290,7 @@ def momentum_amplitudes(field: SpectralField) -> MomentumAmplitudes:
         return MomentumAmplitudes(g, f.data * (sign > 0), f.data * (sign < 0))
     if transversality_residual(f) > TRANSVERSE_TOL:
         raise TransversalityError("momentum amplitudes require a divergence-free field")
-    table = _polarization_table(g)
+    table = g.polarization_table
     zp = np.sum(np.conj(table[0]) * f.data, axis=0)
     zm = np.sum(np.conj(table[1]) * f.data, axis=0)
     return MomentumAmplitudes(g, zp, zm)
@@ -343,6 +303,6 @@ def synthesize_from_amplitudes(amps: MomentumAmplitudes) -> SpectralField:
         sign = np.sign(g.k_axis)
         data = amps.plus * (sign > 0) + amps.minus * (sign < 0)
         return to_position(SpectralField(g, data, FREQUENCY))
-    table = _polarization_table(g)
+    table = g.polarization_table
     data = table[0] * amps.plus[None] + table[1] * amps.minus[None]
     return to_position(SpectralField(g, data, FREQUENCY, transverse=True))

@@ -34,9 +34,9 @@ import numpy as np
 from .errors import GridMismatchError, TransversalityError, ZeroStateError
 from .fields import (FREQUENCY, SpectralField, l2_norm, magnitude, to_frequency,
                      to_position)
-from .operators import (TRANSVERSE_TOL, apply_frequency_power, helicity_apply,
-                        omega, omega_power, transversality_residual,
-                        zero_mode_guard)
+from .operators import (TRANSVERSE_TOL, apply_frequency_power, curl,
+                        helicity_apply, omega, omega_power,
+                        transversality_residual, zero_mode_guard)
 from .units import NATURAL, UnitsConfig
 
 REAL_TOL = 1e-12
@@ -84,7 +84,6 @@ class EMFields:
         """Derive B from A: the curl in three dimensions, and in one the
         multiplier k (so that c L B = W A holds identically)."""
         if e.grid.dim == 3:
-            from .operators import curl
             return cls(e, a, curl(a))
         fa = to_frequency(a)
         b = SpectralField(fa.grid, fa.grid.k_axis * fa.data, FREQUENCY)
@@ -184,16 +183,21 @@ def riemann_silberstein_vector(e: SpectralField, b: SpectralField,
     """F = sqrt(eps0/2) (E + i c L B), returned in the position domain."""
     _check_physical_field(e, "E")
     _check_physical_field(b, "B", require_real=(e.grid.dim == 3))
-    lam_b = helicity_apply(b)
-    f = np.sqrt(units.eps0 / 2.0) * (e + 1j * units.c * lam_b)
+    return _rs_field(e, b, units)
+
+
+def _rs_field(e: SpectralField, b: SpectralField, units: UnitsConfig) -> SpectralField:
+    """The RS formula on fields already checked to be physical."""
+    f = np.sqrt(units.eps0 / 2.0) * (e + 1j * units.c * helicity_apply(b))
     return to_position(f)
 
 
 def bb_from_em(em: EMFields, units: UnitsConfig = NATURAL) -> BBState:
-    """Build the BB state directly from the electromagnetic fields."""
+    """Build the BB state directly from the electromagnetic fields, which
+    EMFields has already checked."""
     if em.b is None:
         em = EMFields.from_potentials(em.e, em.a)
-    return BBState(riemann_silberstein_vector(em.e, em.b, units), units)
+    return BBState(_rs_field(em.e, em.b, units), units)
 
 
 def lp_inner(a: LPState, b: LPState) -> complex:

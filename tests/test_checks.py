@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from photonloc import (CheckResult, Grid, SuiteResult, l2_norm, to_frequency,
-                       to_position)
+from photonloc import (CheckResult, Grid, SuiteResult, checks, l2_norm,
+                       to_frequency, to_position)
 from photonloc.checks import (band_limit, narrowband_state,
                               random_band_limited, random_compact_bump,
                               random_real_smooth, run_all_checks)
@@ -68,3 +68,21 @@ def test_narrowband_state_centered(grid1, rng):
 def test_run_all_checks_rejects_a_floor_that_is_not_finite_and_positive(floor):
     with pytest.raises(ValueError, match="floor must be finite and positive"):
         run_all_checks(grid_n=256, n_fields=4, floor=floor)
+
+
+@pytest.mark.parametrize("grid_n, n3", [(4096, 64), (16384, 64), (1024, 32),
+                                        (400, 20), (256, 16), (64, 16)])
+def test_grid_n_sizes_the_3d_corpus(monkeypatch, grid_n, n3):
+    """The 3d corpus takes the even part of sqrt(grid_n) per axis, within
+    [16, 64]; the grids are read off the first suite's arguments."""
+    class Seen(Exception):
+        pass
+
+    def spy(grid1, grid3, *args):
+        raise Seen(grid1, grid3)
+
+    monkeypatch.setattr(checks, "figure2_report", lambda *args: None)
+    monkeypatch.setattr(checks, "suite_operator_algebra", spy)
+    with pytest.raises(Seen) as seen:
+        run_all_checks(grid_n=grid_n, domain=8.0)
+    assert seen.value.args == (Grid(1, 8.0, grid_n), Grid(3, 8.0, n3))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from photonloc import Grid
+from photonloc import DimensionError, Grid
 
 
 def test_axis_and_spacing():
@@ -17,6 +17,7 @@ def test_mode_numbers_fft_order():
     assert list(g.mode_numbers) == [0, 1, 2, 3, -4, -3, -2, -1]
     assert g.k_axis[1] == pytest.approx(g.k_spacing)
     assert g.zero_mode_index() == (0,)
+    assert g.field_shape == (8,)
 
 
 def test_3d_shapes_broadcast():
@@ -28,7 +29,19 @@ def test_3d_shapes_broadcast():
     assert kz.shape == (1, 1, 16)
     assert g.k_magnitude.shape == (16, 16, 16)
     assert g.k_magnitude[0, 0, 0] == 0.0
-    assert g.zero_mode_index() == (0, 0, 0)
+    assert g.zero_mode_index() == (slice(None), 0, 0, 0)
+    assert g.field_shape == (3, 16, 16, 16)
+
+
+def test_polarization_table_cached_on_the_grid():
+    g = Grid(3, 8.0, 8)
+    table = g.polarization_table
+    assert table.shape == (2, 3, 8, 8, 8)
+    assert table is g.polarization_table
+    assert not table.flags.writeable
+    assert np.all(table[:, :, 0, 0, 0] == 0.0)
+    with pytest.raises(DimensionError):
+        Grid(1, 8.0, 8).polarization_table
 
 
 def test_radius_centered():

@@ -169,11 +169,13 @@ def test_transverse_project_examples(grid3, rng):
 # ------------------------------------------------------------- polarization
 
 def test_polarization_hand_values():
-    eps = polarization_vector((1.0, 0.0, 0.0), +1).as_array()
+    eps = polarization_vector((1.0, 0.0, 0.0), +1)
+    assert isinstance(eps, np.ndarray)
+    assert eps.shape == (3,) and eps.dtype == np.complex128
     expected = np.array([0.0, -1.0j, 1.0]) / np.sqrt(2.0)
     assert np.max(np.abs(eps - expected)) < 1e-14
 
-    eps_z = polarization_vector((0.0, 0.0, 1.0), +1).as_array()
+    eps_z = polarization_vector((0.0, 0.0, 1.0), +1)
     expected_z = np.array([-1.0, -1.0j, 0.0]) / np.sqrt(2.0)
     assert np.max(np.abs(eps_z - expected_z)) < 1e-14
 
@@ -181,8 +183,8 @@ def test_polarization_hand_values():
 def test_polarization_conjugation_and_eigenrelation(rng):
     for _ in range(20):
         k = rng.standard_normal(3) * 3.0
-        plus = polarization_vector(tuple(k), +1).as_array()
-        minus = polarization_vector(tuple(k), -1).as_array()
+        plus = polarization_vector(tuple(k), +1)
+        minus = polarization_vector(tuple(k), -1)
         assert np.max(np.abs(minus - np.conj(plus))) < 1e-13
         khat = k / np.linalg.norm(k)
         assert np.abs(np.vdot(plus, plus) - 1.0) < 1e-13

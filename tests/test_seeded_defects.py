@@ -2,15 +2,18 @@
 verification suite that covers it fail.
 
 Each test plants one known defect with monkeypatch, in every photonloc
-module that binds the patched name, and runs the suites on small grids
-(1d n = 256 and 3d 16**3, box 16).  The same suites pass on the same grids
-without the defect, so each failure is the defect's doing.
+module that binds the patched name (or, for a grid table, on the Grid
+class), and runs the suites on small grids (1d n = 256 and 3d 16**3,
+box 16).  The same suites pass on the same grids without the defect, so
+each failure is the defect's doing.
 """
 
 import sys
 from types import SimpleNamespace
 
-from photonloc import Grid, checks, operators
+import numpy as np
+
+from photonloc import Grid, checks, fields, operators
 from photonloc.energy import energy_density
 from photonloc.scenarios import make_bb_compact, make_lp_compact, make_lp_extended
 
@@ -18,10 +21,10 @@ GRID1 = Grid(1, 16.0, 256)
 GRID3 = Grid(3, 16.0, 16)
 
 
-def plant(monkeypatch, name, make_defect):
-    """Replace operators.<name> by make_defect(original) in every photonloc
+def plant(monkeypatch, name, make_defect, source=operators):
+    """Replace source.<name> by make_defect(original) in every photonloc
     module that binds it, the package namespace included."""
-    original = getattr(operators, name)
+    original = getattr(source, name)
     planted = make_defect(original)
     for key, module in list(sys.modules.items()):
         if ((key == "photonloc" or key.startswith("photonloc."))
@@ -82,3 +85,50 @@ def test_doubled_plus_part_fails_parseval_but_not_two_path(monkeypatch):
     two_path, parseval = energy_suites()
     assert "lp-total-vs-spectral" in failed(parseval)
     assert two_path.passed, failed(two_path)
+
+
+def test_kept_zero_mode_fails_two_path(monkeypatch):
+    """strip_zero_mode as a no-op: the BB path of the mean-carrying
+    bb-compact state is compared with an LP image that has no mean."""
+    plant(monkeypatch, "strip_zero_mode",
+          lambda original: fields.to_frequency, source=fields)
+    two_path, _ = energy_suites()
+    assert "figure-states-discrepancy" in failed(two_path)
+
+
+def test_omega_power_one_at_zero_mode_fails_energy_suites(monkeypatch):
+    def make_defect(original):
+        def omega_power(grid, s, *args, **kwargs):
+            mult = original(grid, s, *args, **kwargs)
+            mult[(0,) * grid.dim] = 1.0
+            return mult
+        return omega_power
+    plant(monkeypatch, "omega_power", make_defect)
+    two_path, parseval = energy_suites()
+    assert "figure-states-discrepancy" in failed(two_path)
+    assert {"bb-regularized-total-vs-spectral",
+            "lp-total-vs-spectral"} <= failed(parseval)
+
+
+def test_mis_scaled_half_power_fails_every_suite_that_uses_it(monkeypatch):
+    def make_defect(original):
+        def omega_power(grid, s, *args, **kwargs):
+            mult = original(grid, s, *args, **kwargs)
+            return mult * (1.0 + 1e-6) if s == 0.5 else mult
+        return omega_power
+    plant(monkeypatch, "omega_power", make_defect)
+    algebra, isomorphism = operator_suites()
+    two_path, parseval = energy_suites()
+    assert "half-power-composition" in failed(algebra)
+    assert {"lp-bb-round-trip", "em-cross-path-3d"} <= failed(isomorphism)
+    assert "random-states-discrepancy" in failed(two_path)
+    assert "narrowband-vs-quadrature-oracle" in failed(parseval)
+
+
+def test_minus_polarization_set_to_plus_fails_operator_algebra(monkeypatch):
+    original = Grid.polarization_table.func
+    monkeypatch.setattr(Grid, "polarization_table", property(
+        lambda grid: np.stack([original(grid)[0]] * 2)))
+    algebra, _ = operator_suites()
+    assert {"polarization-conjugation", "momentum-amplitude-round-trip",
+            "momentum-amplitude-parseval"} <= failed(algebra)
