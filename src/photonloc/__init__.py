@@ -10,9 +10,10 @@ state looks in either representation.
 
 from .errors import (DimensionError, DomainError, GridMismatchError,
                      InsufficientWindowError, NotEigenfieldError,
-                     PhotonlocError, ProfileTooWideError, SchemaError,
-                     SupportError, TransversalityError, VolumeOutOfDomainError,
-                     ZeroModeError, ZeroStateError, ZeroWaveVectorError)
+                     PhotonlocError, ProbeCellError, ProfileTooWideError,
+                     SchemaError, SupportError, TransversalityError,
+                     VolumeOutOfDomainError, ZeroModeError, ZeroStateError,
+                     ZeroWaveVectorError)
 from .grid import Grid
 from .fields import (FREQUENCY, POSITION, SpectralField, forward_transform,
                      inverse_transform, l2_inner, l2_norm, magnitude,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .energy import DetectorVolume, EnergyDensityMap, energy_density, knight_locality_test, total_energy
 from .fields import (FREQUENCY, SpectralField, l2_inner, l2_norm, magnitude,
-                     strip_zero_mode, to_frequency, to_position)
+                     peak_magnitude, strip_zero_mode, to_frequency, to_position)
 from .grid import Grid
 from .locality import (PHYSICAL_FLOOR, _window_maxima, antilocality_witness,
                        helicity_vanishing_scan, support_estimate,
@@ -448,11 +448,11 @@ def suite_nonlocality_floor(figset) -> SuiteResult:
         if label == "a":
             src = support_estimate(SpectralField(g, panel.lp_abs.astype(np.complex128)),
                                    PHYSICAL_FLOOR)
-            source = DetectorVolume.interval(*src.region[0])
+            source = src.volume()
         elif label == "c":
             src = support_estimate(SpectralField(g, panel.bb_abs.astype(np.complex128)),
                                    PHYSICAL_FLOOR)
-            source = DetectorVolume.interval(*src.region[0])
+            source = src.volume()
         else:
             source = DetectorVolume.interval(-half_pulse, half_pulse)
         report = knight_locality_test(emap, source)
@@ -567,7 +567,7 @@ def suite_lemma_witnesses(figset, grid1: Grid, seed: int = 23,
     for label in ("a", "b", "c"):
         state = figset.states[label]
         field = state.field
-        parent_peak = float(np.max(magnitude(to_position(field))))
+        parent_peak = peak_magnitude(to_position(field))
         for part in helicity_parts(strip_zero_mode(field)):
             report = helicity_vanishing_scan(part, scan_window,
                                              reference_peak=parent_peak)

@@ -22,8 +22,8 @@ import numpy as np
 from .checks import run_all_checks
 from .energy import (DetectorVolume, energy_density, knight_locality_test,
                      total_energy)
-from .errors import InsufficientWindowError, PhotonlocError
-from .fields import SpectralField, magnitude, strip_zero_mode, to_position
+from .errors import InsufficientWindowError, PhotonlocError, ProbeCellError
+from .fields import SpectralField, peak_magnitude, strip_zero_mode, to_position
 from .grid import Grid
 from .locality import (PHYSICAL_FLOOR, antilocality_witness,
                        helicity_vanishing_scan, support_estimate,
@@ -173,12 +173,10 @@ def _parse_floats(text, what):
 
 def _parse_volume(text, dim):
     vals = _parse_floats(text, "--source-volume")
-    if dim == 1 and len(vals) == 2:
-        return DetectorVolume.interval(vals[0], vals[1])
+    if len(vals) == 2 * dim:
+        return DetectorVolume.aligned(vals[:dim], vals[dim:])
     if dim == 3 and len(vals) == 4:
         return DetectorVolume.ball(tuple(vals[:3]), vals[3])
-    if dim == 3 and len(vals) == 6:
-        return DetectorVolume.box(tuple(vals[:3]), tuple(vals[3:]))
     raise PhotonlocError(
         f"--source-volume {text!r} does not describe a volume in "
         f"dimension {dim} (need 2 interval bounds, 4 ball values or "
@@ -290,15 +288,18 @@ def cmd_locality(args) -> int:
     emap = energy_density(state)
 
     if args.source_volume is not None:
-        source = _parse_volume(args.source_volume, grid.dim)
+        knight = knight_locality_test(
+            emap, _parse_volume(args.source_volume, grid.dim), floor=args.floor)
     else:
         supp = support_estimate(to_position(field), PHYSICAL_FLOOR)
-        if grid.dim == 1:
-            source = DetectorVolume.interval(*supp.region[0])
-        else:
-            source = DetectorVolume.box(tuple(r[0] for r in supp.region),
-                                        tuple(r[1] for r in supp.region))
-    knight = knight_locality_test(emap, source, floor=args.floor)
+        try:
+            knight = knight_locality_test(emap, supp.volume(), floor=args.floor)
+        except ProbeCellError as exc:
+            radii = ", ".join(f"{r:.6g}" for r in supp.radii)
+            raise ProbeCellError(
+                f"{exc}: the default source, the support estimated at "
+                f"{PHYSICAL_FLOOR:g} of the peak, has radii ({radii}); give a "
+                "smaller source region with --source-volume") from None
 
     window = _parse_floats(args.windows, "--windows")
     if len(window) != 2:
@@ -319,7 +320,7 @@ def cmd_locality(args) -> int:
                                        units)
 
     scan_window = max(grid.length / 50.0, 5.0 * grid.spacing)
-    parent_peak = float(np.max(magnitude(to_position(field))))
+    parent_peak = peak_magnitude(to_position(field))
     scans = {name: helicity_vanishing_scan(part, scan_window,
                                            reference_peak=parent_peak)
              for name, part in zip(("plus", "minus"),
@@ -416,10 +417,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except PhotonlocError as exc:
-        print(f"photonloc: error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (OSError, ValueError) as exc:
+    except (PhotonlocError, OSError, ValueError) as exc:
         print(f"photonloc: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

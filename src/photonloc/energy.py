@@ -18,11 +18,13 @@ full field (the BB expression is pointwise exact for it).
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import VolumeOutOfDomainError
+from .errors import ProbeCellError, VolumeOutOfDomainError
 from .fields import magnitude, strip_zero_mode, to_position
 from .grid import Grid
 from .operators import apply_frequency_power, helicity_parts
@@ -83,20 +85,27 @@ class DetectorVolume:
     radius: float = None
 
     @classmethod
+    def aligned(cls, lo, hi) -> "DetectorVolume":
+        """The interval (one axis) or box (three axes) spanning lo to hi."""
+        lo = tuple(float(v) for v in lo)
+        hi = tuple(float(v) for v in hi)
+        if len(lo) not in (1, 3) or len(hi) != len(lo):
+            raise ValueError("corners need one or three matching axes")
+        kind, axes = ("interval", "") if len(lo) == 1 else ("box", " on every axis")
+        if any(h < l for l, h in zip(lo, hi)):
+            raise ValueError(f"{kind} needs lo <= hi{axes}")
+        return cls(kind, lo=lo, hi=hi)
+
+    @classmethod
     def interval(cls, lo: float, hi: float) -> "DetectorVolume":
-        if hi < lo:
-            raise ValueError("interval needs lo <= hi")
-        return cls("interval", lo=(float(lo),), hi=(float(hi),))
+        return cls.aligned((lo,), (hi,))
 
     @classmethod
     def box(cls, lo, hi) -> "DetectorVolume":
-        lo = tuple(float(v) for v in lo)
-        hi = tuple(float(v) for v in hi)
+        lo, hi = tuple(lo), tuple(hi)
         if len(lo) != 3 or len(hi) != 3:
             raise ValueError("box corners must be 3-vectors")
-        if any(h < l for l, h in zip(lo, hi)):
-            raise ValueError("box needs lo <= hi on every axis")
-        return cls("box", lo=lo, hi=hi)
+        return cls.aligned(lo, hi)
 
     @classmethod
     def ball(cls, center, radius: float) -> "DetectorVolume":
@@ -113,6 +122,26 @@ class DetectorVolume:
             hi = tuple(c + self.radius for c in self.center)
             return lo, hi
         return self.lo, self.hi
+
+    def meets(self, cell: "DetectorVolume") -> bool:
+        """Whether the volume meets an interval or box cell.  A cell that
+        shares only a face with an interval or box does not meet it; a ball
+        meets every cell within its radius, touching ones included."""
+        if self.kind == "ball":
+            gaps = (max(l - c, c - h, 0.0)
+                    for l, h, c in zip(cell.lo, cell.hi, self.center))
+            return sum(d * d for d in gaps) <= self.radius ** 2
+        return all(h > vl and l < vh
+                   for l, h, vl, vh in zip(cell.lo, cell.hi, self.lo, self.hi))
+
+    def contains(self, box: "DetectorVolume") -> bool:
+        """Whether the volume contains an interval or box, boundary included."""
+        if self.kind == "ball":
+            farthest = (max((l - c) ** 2, (h - c) ** 2)
+                        for l, h, c in zip(box.lo, box.hi, self.center))
+            return sum(farthest) <= self.radius ** 2
+        return all(vl <= l and h <= vh
+                   for l, h, vl, vh in zip(box.lo, box.hi, self.lo, self.hi))
 
     def check_in_domain(self, grid: Grid):
         expected_dim = 1 if self.kind == "interval" else 3
@@ -134,23 +163,13 @@ def volume_weights(volume: DetectorVolume, grid: Grid) -> np.ndarray:
     """
     volume.check_in_domain(grid)
     dx = grid.spacing
-    if volume.kind == "interval":
-        x = grid.axis
-        lo, hi = volume.lo[0], volume.hi[0]
-        return np.clip((np.minimum(hi, x + 0.5 * dx)
-                        - np.maximum(lo, x - 0.5 * dx)) / dx, 0.0, 1.0)
-    if volume.kind == "box":
-        x = grid.axis
-        fracs = [np.clip((np.minimum(h, x + 0.5 * dx)
-                          - np.maximum(l, x - 0.5 * dx)) / dx, 0.0, 1.0)
-                 for l, h in zip(volume.lo, volume.hi)]
-        return (fracs[0].reshape(-1, 1, 1)
-                * fracs[1].reshape(1, -1, 1)
-                * fracs[2].reshape(1, 1, -1))
-    x, y, z = grid.position_mesh()
-    cx, cy, cz = volume.center
-    dist = np.sqrt((x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2)
-    return np.clip((volume.radius - dist) / dx + 0.5, 0.0, 1.0)
+    mesh = grid.position_mesh()
+    if volume.kind == "ball":
+        dist = np.sqrt(sum((x - c) ** 2 for x, c in zip(mesh, volume.center)))
+        return np.clip((volume.radius - dist) / dx + 0.5, 0.0, 1.0)
+    return math.prod(np.clip((np.minimum(h, x + 0.5 * dx)
+                              - np.maximum(l, x - 0.5 * dx)) / dx, 0.0, 1.0)
+                     for x, l, h in zip(mesh, volume.lo, volume.hi))
 
 
 def detector_energy(emap: EnergyDensityMap, volume: DetectorVolume) -> float:
@@ -173,31 +192,16 @@ class KnightReport:
     n_cells: int
 
 
-def _axis_partition(grid: Grid, cells: int) -> list:
-    edges = np.linspace(-0.5 * grid.length, 0.5 * grid.length, cells + 1)
-    return [(float(edges[i]), float(edges[i + 1])) for i in range(cells)]
-
-
-def _disjoint(cell_lo, cell_hi, volume: DetectorVolume) -> bool:
-    if volume.kind == "ball":
-        gap2 = 0.0
-        for l, h, c in zip(cell_lo, cell_hi, volume.center):
-            d = max(l - c, c - h, 0.0)
-            gap2 += d * d
-        return gap2 > volume.radius ** 2
-    return any(h <= vl or l >= vh
-               for l, h, vl, vh in zip(cell_lo, cell_hi, volume.lo, volume.hi))
-
-
 def knight_locality_test(emap: EnergyDensityMap, source: DetectorVolume,
                          floor: float = None, probe_cells: int = 32) -> KnightReport:
     """Probe whether any detector disjoint from the source region can tell
     the state from vacuum through its captured energy.
 
-    The domain is tiled with probe cells; cells intersecting the source are
-    discarded and the best remaining cell is reported.  The verdict is
-    "distinguishable" when its energy exceeds the floor (default 1e-12 of
-    the peak density, i.e. far below any physically meaningful signal).
+    The domain is tiled with probe cells, probe_cells ** (1/dim) per axis
+    (at least two); cells meeting the source are discarded and the best
+    remaining cell is reported.  The verdict is "distinguishable" when its
+    energy exceeds the floor (default 1e-12 of the peak density, i.e. far
+    below any physically meaningful signal).
     """
     source.check_in_domain(emap.grid)
     if probe_cells < 2:
@@ -209,31 +213,19 @@ def knight_locality_test(emap: EnergyDensityMap, source: DetectorVolume,
         raise ValueError(f"floor must be finite and positive, got {floor}")
 
     g = emap.grid
-    if g.dim == 1:
-        spans = [((lo,), (hi,)) for lo, hi in _axis_partition(g, probe_cells)]
-    else:
-        per_axis = max(2, round(probe_cells ** (1.0 / 3.0)))
-        parts = _axis_partition(g, per_axis)
-        spans = [((a[0], b[0], c[0]), (a[1], b[1], c[1]))
-                 for a in parts for b in parts for c in parts]
-
-    best = None
-    best_energy = -1.0
-    n_kept = 0
-    for lo, hi in spans:
-        if not _disjoint(lo, hi, source):
-            continue
-        n_kept += 1
-        cell = (DetectorVolume.interval(lo[0], hi[0]) if g.dim == 1
-                else DetectorVolume.box(lo, hi))
-        e = detector_energy(emap, cell)
-        if e > best_energy:
-            best_energy = e
-            best = cell
-    if best is None:
-        raise ValueError("source volume leaves no disjoint probe cell")
+    per_axis = max(2, round(probe_cells ** (1.0 / g.dim)))
+    edges = np.linspace(-0.5 * g.length, 0.5 * g.length, per_axis + 1)
+    spans = [(float(edges[i]), float(edges[i + 1])) for i in range(per_axis)]
+    cells = (DetectorVolume.aligned(*zip(*spans_per_axis))
+             for spans_per_axis in itertools.product(spans, repeat=g.dim))
+    kept = [cell for cell in cells if not source.meets(cell)]
+    if not kept:
+        raise ProbeCellError("source volume leaves no disjoint probe cell")
+    energies = [detector_energy(emap, cell) for cell in kept]
+    best_energy = max(energies)
+    best = kept[energies.index(best_energy)]
 
     distinguishable = best_energy > floor
     verdict = "distinguishable" if distinguishable else "indistinguishable-at-floor"
     return KnightReport(source, best, best_energy, 0.0, floor,
-                        distinguishable, verdict, n_kept)
+                        distinguishable, verdict, len(kept))

@@ -51,6 +51,11 @@ class VolumeOutOfDomainError(PhotonlocError):
     """A detector volume extends beyond the periodic simulation box."""
 
 
+class ProbeCellError(PhotonlocError, ValueError):
+    """A Knight probe's source region meets every probe cell.  It is also a
+    ValueError: the source is an impossible geometry for the probe."""
+
+
 class InsufficientWindowError(PhotonlocError):
     """A fit or scan window contains too few usable samples, or overlaps a
     region (wrap-around zone, field support) that would bias the result."""

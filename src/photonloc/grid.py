@@ -11,6 +11,7 @@ and caches every k-space table, the circular polarization vectors included.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,6 +23,14 @@ from .errors import DimensionError
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _euclidean_norm(components) -> np.ndarray:
+    """sqrt(sum of c**2) over broadcastable components.  A single axis takes
+    |c|, which stays exact where c**2 overflows or underflows."""
+    if len(components) == 1:
+        return np.abs(components[0])
+    return np.sqrt(sum(c ** 2 for c in components))
 
 
 @dataclass(frozen=True)
@@ -82,61 +91,37 @@ class Grid:
         """Wavevector samples along one spectral axis, FFT order."""
         return _readonly(self.k_spacing * self.mode_numbers.astype(np.float64))
 
+    def _per_axis(self, v: np.ndarray) -> tuple:
+        """One view of the axis array v per axis, shaped to broadcast along
+        that axis: (v,) in 1d, (n, 1, 1), (1, n, 1), (1, 1, n) views in 3d."""
+        return tuple(v.reshape([-1 if a == axis else 1 for a in range(self.dim)])
+                     for axis in range(self.dim))
+
     @cached_property
     def k_vectors(self) -> tuple:
         """Broadcastable wavevector component arrays (kx, ky, kz) or (k,)."""
-        if self.dim == 1:
-            return (self.k_axis,)
-        k = self.k_axis
-        return (
-            _readonly(k.reshape(self.n, 1, 1).copy()),
-            _readonly(k.reshape(1, self.n, 1).copy()),
-            _readonly(k.reshape(1, 1, self.n).copy()),
-        )
+        return self._per_axis(self.k_axis)
 
     @cached_property
     def k_magnitude(self) -> np.ndarray:
         """|k| on the full spectral lattice, FFT order."""
-        if self.dim == 1:
-            return _readonly(np.abs(self.k_axis))
-        kx, ky, kz = self.k_vectors
-        return _readonly(np.sqrt(kx**2 + ky**2 + kz**2))
+        return _readonly(_euclidean_norm(self.k_vectors))
 
     @cached_property
     def alternating_phase(self) -> np.ndarray:
         """(-1)**(sum of mode numbers); converts FFT sums over j to sums over
         the centered positions x_j = -L/2 + j*dx."""
         s = 1.0 - 2.0 * (np.abs(self.mode_numbers) % 2).astype(np.float64)
-        if self.dim == 1:
-            return _readonly(s)
-        return _readonly(
-            s.reshape(self.n, 1, 1) * s.reshape(1, self.n, 1) * s.reshape(1, 1, self.n)
-        )
+        return _readonly(math.prod(self._per_axis(s)))
 
     @cached_property
     def radius(self) -> np.ndarray:
         """Distance from the origin at each position sample."""
-        if self.dim == 1:
-            return _readonly(np.abs(self.axis))
-        x = self.axis
-        return _readonly(
-            np.sqrt(
-                x.reshape(self.n, 1, 1) ** 2
-                + x.reshape(1, self.n, 1) ** 2
-                + x.reshape(1, 1, self.n) ** 2
-            )
-        )
+        return _readonly(_euclidean_norm(self.position_mesh()))
 
     def position_mesh(self) -> tuple:
         """Broadcastable position component arrays, one per axis."""
-        if self.dim == 1:
-            return (self.axis,)
-        x = self.axis
-        return (
-            x.reshape(self.n, 1, 1),
-            x.reshape(1, self.n, 1),
-            x.reshape(1, 1, self.n),
-        )
+        return self._per_axis(self.axis)
 
     def zero_mode_index(self) -> tuple:
         """Index of the zero mode in a frequency field's data, every vector

@@ -57,6 +57,10 @@ class SupportEstimate:
     def radii(self) -> tuple:
         return tuple(hi for _, hi in self.region)
 
+    def volume(self) -> DetectorVolume:
+        """The region as a detector volume: an interval in 1d, a box in 3d."""
+        return DetectorVolume.aligned(*zip(*self.region))
+
 
 def support_estimate(obj, threshold: float = SUPPORT_THRESHOLD) -> SupportEstimate:
     grid, vals = _samples_of(obj)
@@ -64,14 +68,11 @@ def support_estimate(obj, threshold: float = SUPPORT_THRESHOLD) -> SupportEstima
     if peak == 0.0:
         raise ZeroStateError("support of an identically vanishing field is empty")
     above = vals > threshold * peak
-    if grid.dim == 1:
-        radii = (float(np.max(np.abs(grid.axis[above]))) if above.any() else 0.0,)
-    else:
-        radii = []
-        for ax in range(3):
-            collapsed = above.any(axis=tuple(a for a in range(3) if a != ax))
-            radii.append(float(np.max(np.abs(grid.axis[collapsed]))) if collapsed.any() else 0.0)
-        radii = tuple(radii)
+    radii = []
+    for ax in range(grid.dim):
+        collapsed = above.any(axis=tuple(a for a in range(grid.dim) if a != ax))
+        radii.append(float(np.max(np.abs(grid.axis[collapsed]))) if collapsed.any() else 0.0)
+    radii = tuple(radii)
     region = tuple((-r, r) for r in radii)
 
     outside = np.zeros(grid.spatial_shape, dtype=bool)
@@ -290,17 +291,6 @@ class LocalizedStateConstruction:
     recovery_deviation: float
 
 
-def _region_contains_box(region: DetectorVolume, box) -> bool:
-    corners = [()]
-    for lo, hi in box:
-        corners = [c + (v,) for c in corners for v in (lo, hi)]
-    if region.kind == "ball":
-        return all(sum((v - c) ** 2 for v, c in zip(corner, region.center))
-                   <= region.radius ** 2 for corner in corners)
-    return all(all(l <= v <= h for v, l, h in zip(corner, region.lo, region.hi))
-               for corner in corners)
-
-
 def vector_potential_localized_state(xi: SpectralField, region: DetectorVolume,
                                      units: UnitsConfig = NATURAL) -> LocalizedStateConstruction:
     """Build the state psi = W**(1/2) xi from a real, zero-mean profile xi
@@ -319,7 +309,7 @@ def vector_potential_localized_state(xi: SpectralField, region: DetectorVolume,
     if float(np.max(magnitude(pos))) == 0.0:
         raise ZeroStateError("profile is identically zero")
     est = support_estimate(pos, SUPPORT_THRESHOLD)
-    if not _region_contains_box(region, est.region):
+    if not region.contains(est.volume()):
         raise SupportError(
             f"profile support {est.region} leaks outside the region")
 

@@ -38,8 +38,8 @@ from .energy import energy_density, total_energy
 from .errors import ProfileTooWideError
 from .fields import SpectralField, l2_norm, magnitude, to_position
 from .grid import Grid
-from .operators import apply_frequency_power
-from .states import BBState, LPState, normalize, representation_images
+from .states import (BBState, EMFields, LPState, lp_from_potentials, normalize,
+                     representation_images)
 from .units import NATURAL, UnitsConfig
 
 
@@ -72,15 +72,11 @@ def make_lp_extended(grid: Grid, pulse_length: float,
                      units: UnitsConfig = NATURAL) -> LPState:
     """State built from a compact vector potential and electric field.
 
-    psi = sqrt(eps0/(2 hbar)) (W^(1/2) p - i W^(-1/2) p); the profile's
-    mean is dropped by the inverse half power.
+    The LP state of A = E = p, psi = sqrt(eps0/(2 hbar)) (W^(1/2) p -
+    i W^(-1/2) p); the profile's mean is dropped by the inverse half power.
     """
     p = sin2_profile(grid, pulse_length)
-    half_up = apply_frequency_power(p, 0.5, units)
-    half_down = apply_frequency_power(p, -0.5, units, zero_mode="drop")
-    scale = np.sqrt(units.eps0 / (2.0 * units.hbar))
-    psi = to_position(scale * (half_up - 1.0j * half_down))
-    return normalize(LPState(psi, units))
+    return normalize(lp_from_potentials(EMFields(p, p), units, zero_mode="drop"))
 
 
 def make_bb_compact(grid: Grid, pulse_length: float,

@@ -206,6 +206,18 @@ def test_locality_bad_arguments(tmp_path):
     assert_cli_error(res)
 
 
+def test_locality_default_source_covering_the_box_names_the_option(demo_dir, tmp_path):
+    # lp-extended is not compact: its support at the 1e-8 floor fills the box.
+    out, _ = demo_dir
+    res = run_cli(["locality", str(out / "states" / "state_b.json"),
+                   "--output-dir", str(tmp_path)], cwd=tmp_path)
+    assert_cli_error(res)
+    assert "no disjoint probe cell" in res.stderr
+    assert "--source-volume" in res.stderr
+    assert "radii (8)" in res.stderr
+    assert not (tmp_path / "locality_report.json").exists()
+
+
 def test_check_passes_at_reduced_resolution(tmp_path):
     res = run_cli(["check", "--grid-n", "256", "--n-fields", "4",
                    "--format", "json", "--output-dir", str(tmp_path)],

@@ -180,6 +180,45 @@ def test_knight_3d_ball_source(grid3, rng):
     assert report.detector.kind == "box"
 
 
+def test_knight_cell_touching_the_source_counts_as_disjoint():
+    # 32 probe cells of width 1/2: the source's ends lie on cell faces.
+    emap = EnergyDensityMap(Grid(1, 16.0, 256), np.ones(256), 0.0)
+    touching = knight_locality_test(emap, DetectorVolume.interval(-1.0, 1.0))
+    assert touching.n_cells == 28
+    overlapping = knight_locality_test(emap, DetectorVolume.interval(-1.0, 1.25))
+    assert overlapping.n_cells == 27
+
+
+def test_knight_3d_box_source_meets_only_the_centre_cell():
+    # 27 probe cells, three per axis with faces at +-8/3.
+    emap = EnergyDensityMap(Grid(3, 16.0, 16), np.ones((16,) * 3), 0.0)
+    report = knight_locality_test(
+        emap, DetectorVolume.box((-2.0,) * 3, (2.0,) * 3), probe_cells=27)
+    assert report.n_cells == 26
+    assert report.detector.kind == "box"
+
+
+def test_aligned_volume_kind_follows_the_number_of_axes():
+    assert DetectorVolume.aligned([-1.0], [2.0]) == DetectorVolume.interval(-1.0, 2.0)
+    lo, hi = (-1.0, -2.0, 0.0), (1.0, 2.0, 0.5)
+    assert DetectorVolume.aligned(lo, hi) == DetectorVolume.box(lo, hi)
+    for bad_lo, bad_hi in (((0.0, 0.0), (1.0, 1.0)), ((0.0,), (1.0, 1.0, 1.0))):
+        with pytest.raises(ValueError):
+            DetectorVolume.aligned(bad_lo, bad_hi)
+
+
+def test_volume_meets_and_contains_boxes():
+    ball = DetectorVolume.ball((0.0, 0.0, 0.0), 1.0)
+    assert ball.contains(DetectorVolume.box((0.0,) * 3, (0.5,) * 3))
+    assert not ball.contains(DetectorVolume.box((0.0,) * 3, (0.6,) * 3))
+    assert ball.meets(DetectorVolume.box((1.0, 0.0, 0.0), (2.0, 1.0, 1.0)))
+    assert not ball.meets(DetectorVolume.box((0.8, 0.8, 0.0), (2.0, 2.0, 1.0)))
+    box = DetectorVolume.box((-1.0,) * 3, (1.0,) * 3)
+    assert box.contains(box)
+    assert not box.meets(DetectorVolume.box((1.0, 0.0, 0.0), (2.0, 1.0, 1.0)))
+    assert box.meets(DetectorVolume.box((0.9, 0.0, 0.0), (2.0, 1.0, 1.0)))
+
+
 def test_knight_validation(grid1, rng):
     emap = energy_density(lp_from_potentials(_random_em(grid1, rng)))
     with pytest.raises(ValueError):

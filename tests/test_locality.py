@@ -49,6 +49,19 @@ def test_support_3d_and_energy_map_input(grid3):
     assert est2.radii[0] < 8.0
 
 
+def test_support_volume_is_an_interval_in_1d_and_a_box_in_3d(grid1, grid3):
+    est1 = support_estimate(sin2_profile(grid1, 1.0))
+    x, y, z = grid3.position_mesh()
+    blob = np.exp(-(x ** 2 + y ** 2 / 4.0 + z ** 2 / 0.25))
+    est3 = support_estimate(SpectralField(grid3, np.stack([blob] * 3)), threshold=1e-3)
+    assert est3.radii == (2.5, 4.0, 1.0)
+    for est, kind in ((est1, "interval"), (est3, "box")):
+        vol = est.volume()
+        assert vol.kind == kind
+        assert vol.hi == est.radii
+        assert vol.lo == tuple(-r for r in est.radii)
+
+
 def test_support_guards(grid1_small):
     zero = SpectralField(grid1_small, np.zeros(grid1_small.n, dtype=complex))
     with pytest.raises(ZeroStateError):
