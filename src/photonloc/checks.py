@@ -644,10 +644,13 @@ def run_all_checks(grid_n: int = 4096, domain: float = 16.0,
     fail).  The figure-based suites always run at the committed
     demonstration parameters (N = 4096, box 16) so their numbers are
     comparable across configurations.  A ``floor`` that is not finite and
-    positive raises ValueError before any suite runs.
+    positive, or fewer than one random field, raises ValueError before any
+    suite runs.
     """
     if not (0.0 < floor < np.inf):
         raise ValueError(f"floor must be finite and positive, got {floor}")
+    if n_fields < 1:
+        raise ValueError(f"n_fields must be at least 1, got {n_fields}")
     grid1 = Grid(1, domain, grid_n)
     n3 = 2 * (int(np.sqrt(grid_n)) // 2)
     grid3 = Grid(3, domain, min(64, max(16, n3)))

@@ -16,6 +16,11 @@ pair is exactly unitary: round trips are identities to machine precision and
 Scalar (one-dimensional) fields have data shape (n,), vector fields on a
 three-dimensional grid have shape (3, n, n, n).  Frequency data is stored
 in FFT order, zero mode first.
+
+Each transform allocates one complex array of the field's shape and never
+writes its input: every FFT axis pass writes into that array, and the phase
+and scale factors are applied to it in place.  (The forward weight, scale
+times phase, is one real temporary of the spatial shape.)
 """
 
 from __future__ import annotations
@@ -131,7 +136,9 @@ def forward_transform(field: SpectralField) -> SpectralField:
         raise DomainError("forward_transform expects a position-domain field")
     g = field.grid
     scale = g.cell_volume * (2.0 * np.pi) ** (-0.5 * g.dim)
-    data = scale * g.alternating_phase * np.fft.fftn(field.data, axes=_spatial_axes(g))
+    data = np.fft.fftn(field.data, axes=_spatial_axes(g),
+                       out=np.empty(field.data.shape, np.complex128))
+    data *= scale * g.alternating_phase
     return SpectralField(g, data, FREQUENCY, field.transverse)
 
 
@@ -141,7 +148,9 @@ def inverse_transform(field: SpectralField) -> SpectralField:
         raise DomainError("inverse_transform expects a frequency-domain field")
     g = field.grid
     scale = g.k_cell_volume * (2.0 * np.pi) ** (-0.5 * g.dim) * float(g.n) ** g.dim
-    data = scale * np.fft.ifftn(g.alternating_phase * field.data, axes=_spatial_axes(g))
+    data = g.alternating_phase * field.data
+    np.fft.ifftn(data, axes=_spatial_axes(g), out=data)
+    data *= scale
     return SpectralField(g, data, POSITION, field.transverse)
 
 

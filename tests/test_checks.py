@@ -70,6 +70,12 @@ def test_run_all_checks_rejects_a_floor_that_is_not_finite_and_positive(floor):
         run_all_checks(grid_n=256, n_fields=4, floor=floor)
 
 
+@pytest.mark.parametrize("n_fields", [0, -3])
+def test_run_all_checks_rejects_an_empty_random_corpus(n_fields):
+    with pytest.raises(ValueError, match="n_fields must be at least 1"):
+        run_all_checks(grid_n=256, n_fields=n_fields)
+
+
 @pytest.mark.parametrize("grid_n, n3", [(4096, 64), (16384, 64), (1024, 32),
                                         (400, 20), (256, 16), (64, 16)])
 def test_grid_n_sizes_the_3d_corpus(monkeypatch, grid_n, n3):

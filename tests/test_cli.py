@@ -252,6 +252,17 @@ def test_floor_must_be_finite_and_positive(tmp_path, args):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("n_fields", ["0", "-3"])
+def test_check_rejects_an_empty_random_corpus(tmp_path, n_fields):
+    res = run_cli(["check", "--grid-n", "256", "--n-fields", n_fields,
+                   "--format", "json", "--output-dir", str(tmp_path)],
+                  cwd=tmp_path)
+    assert_cli_error(res)
+    assert "n_fields must be at least 1" in res.stderr
+    assert "all suites passed" not in res.stdout
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("args", [
     ["demo-fig2", "--domain-length", "inf"],
     ["demo-fig2", "--c", "inf"],
