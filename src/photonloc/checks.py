@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import DetectorVolume, EnergyDensityMap, energy_density, knight_locality_test, total_energy
-from .fields import (FREQUENCY, SpectralField, l2_inner, l2_norm, magnitude,
-                     peak_magnitude, strip_zero_mode, to_frequency, to_position)
+from .fields import (FREQUENCY, POSITION, SpectralField, _trusted, l2_inner, l2_norm,
+                     magnitude, peak_magnitude, strip_zero_mode, to_frequency,
+                     to_position)
 from .grid import Grid
 from .locality import (PHYSICAL_FLOOR, _window_maxima, antilocality_witness,
                        helicity_vanishing_scan, support_estimate,
@@ -119,7 +120,7 @@ def random_real_smooth(grid: Grid, rng, transverse: bool = False) -> SpectralFie
     if transverse and grid.dim == 3:
         out = transverse_project(out)
     pos = to_position(out)
-    return SpectralField(grid, pos.data.real, transverse=pos.transverse)
+    return _trusted(grid, pos.data.real, POSITION, pos.transverse)
 
 
 def random_compact_bump(grid: Grid, rng) -> SpectralField:

@@ -29,20 +29,25 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, GridMismatchError
+from .errors import DimensionError, DomainError, GridMismatchError, TransversalityError
 from .grid import Grid
 
 POSITION = "position"
 FREQUENCY = "frequency"
+TRANSVERSE_TOL = 1e-10
 
 
 @dataclass(eq=False)
 class SpectralField:
     """A sampled field together with the grid and domain it lives on.
 
-    ``transverse`` records that a three-dimensional frequency-domain field
-    is known to satisfy k . v~(k) = 0; it is advisory and set by the
-    operations that actually enforce it.
+    ``transverse`` claims that a three-dimensional field is divergence-free,
+    k . v~(k) = 0.  The claim is checked once, where a caller sets it: a 3d
+    field built with ``transverse=True`` whose transversality_residual is
+    not at most TRANSVERSE_TOL raises TransversalityError.  Operators that
+    preserve or enforce transversality set the flag on their outputs
+    without measuring, and every consumer trusts it afterwards.  Writing
+    into ``.data`` in place after construction voids the claim.
     """
 
     grid: Grid
@@ -58,6 +63,8 @@ class SpectralField:
         if data.shape != expected:
             raise ValueError(f"data shape {data.shape} does not match grid shape {expected}")
         self.data = data
+        if self.transverse:
+            require_transverse(self, "a field flagged transverse must be divergence-free")
 
     @property
     def is_position(self) -> bool:
@@ -68,8 +75,11 @@ class SpectralField:
         return self.domain == FREQUENCY
 
     def copy_with(self, **changes) -> "SpectralField":
-        if "data" not in changes:
-            changes["data"] = self.data.copy()
+        """A copy with ``changes`` applied.  A plain copy keeps the flag
+        unmeasured; new data or a new flag is checked as in construction."""
+        if not changes:
+            return _trusted(self.grid, self.data.copy(), self.domain, self.transverse)
+        changes.setdefault("data", self.data.copy())
         return replace(self, **changes)
 
     def _check_compatible(self, other: "SpectralField"):
@@ -80,24 +90,24 @@ class SpectralField:
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._check_compatible(other)
-        return SpectralField(self.grid, self.data + other.data, self.domain,
-                             self.transverse and other.transverse)
+        return _trusted(self.grid, self.data + other.data, self.domain,
+                        self.transverse and other.transverse)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         self._check_compatible(other)
-        return SpectralField(self.grid, self.data - other.data, self.domain,
-                             self.transverse and other.transverse)
+        return _trusted(self.grid, self.data - other.data, self.domain,
+                        self.transverse and other.transverse)
 
     def __mul__(self, scalar) -> "SpectralField":
-        return SpectralField(self.grid, self.data * complex(scalar), self.domain, self.transverse)
+        return _trusted(self.grid, self.data * complex(scalar), self.domain, self.transverse)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "SpectralField":
-        return SpectralField(self.grid, self.data / complex(scalar), self.domain, self.transverse)
+        return _trusted(self.grid, self.data / complex(scalar), self.domain, self.transverse)
 
     def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.data, self.domain, self.transverse)
+        return _trusted(self.grid, -self.data, self.domain, self.transverse)
 
 
 def magnitude(field: SpectralField) -> np.ndarray:
@@ -123,7 +133,37 @@ def strip_zero_mode(field: SpectralField) -> SpectralField:
     f = to_frequency(field)
     data = f.data.copy()
     data[f.grid.zero_mode_index()] = 0.0
-    return SpectralField(f.grid, data, FREQUENCY, f.transverse)
+    return _trusted(f.grid, data, FREQUENCY, f.transverse)
+
+
+def _trusted(grid: Grid, data, domain: str, transverse: bool) -> SpectralField:
+    """A field whose ``transverse`` flag is set without measuring, for the
+    outputs of operations that preserve or enforce transversality."""
+    field = SpectralField(grid, data, domain)
+    field.transverse = transverse
+    return field
+
+
+def transversality_residual(field: SpectralField) -> float:
+    """max |k . v~| relative to the spectral peak of |k| |v~|."""
+    if field.grid.dim != 3:
+        raise DimensionError("transversality is defined for three-dimensional fields")
+    f = to_frequency(field)
+    kx, ky, kz = f.grid.k_vectors
+    vx, vy, vz = f.data
+    div = np.abs(kx * vx + ky * vy + kz * vz)
+    scale = float(np.max(f.grid.k_magnitude * np.sqrt(
+        np.abs(vx) ** 2 + np.abs(vy) ** 2 + np.abs(vz) ** 2)))
+    if scale == 0.0:
+        return 0.0
+    return float(np.max(div)) / scale
+
+
+def require_transverse(field: SpectralField, message: str):
+    """Raise TransversalityError(message) unless a 3d field is measured
+    divergence-free.  A residual that is NaN fails the test."""
+    if field.grid.dim == 3 and not (transversality_residual(field) <= TRANSVERSE_TOL):
+        raise TransversalityError(message)
 
 
 def _spatial_axes(grid: Grid) -> tuple:
@@ -139,7 +179,7 @@ def forward_transform(field: SpectralField) -> SpectralField:
     data = np.fft.fftn(field.data, axes=_spatial_axes(g),
                        out=np.empty(field.data.shape, np.complex128))
     data *= scale * g.alternating_phase
-    return SpectralField(g, data, FREQUENCY, field.transverse)
+    return _trusted(g, data, FREQUENCY, field.transverse)
 
 
 def inverse_transform(field: SpectralField) -> SpectralField:
@@ -151,7 +191,7 @@ def inverse_transform(field: SpectralField) -> SpectralField:
     data = g.alternating_phase * field.data
     np.fft.ifftn(data, axes=_spatial_axes(g), out=data)
     data *= scale
-    return SpectralField(g, data, POSITION, field.transverse)
+    return _trusted(g, data, POSITION, field.transverse)
 
 
 def to_frequency(field: SpectralField) -> SpectralField:

@@ -20,15 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionError, TransversalityError, ZeroModeError,
-                     ZeroWaveVectorError)
-from .fields import (FREQUENCY, POSITION, SpectralField, to_frequency, to_position,
-                     zero_mode_amplitude)
+from .errors import DimensionError, ZeroModeError, ZeroWaveVectorError
+from .fields import (FREQUENCY, POSITION, SpectralField, _trusted, require_transverse,
+                     to_frequency, to_position, zero_mode_amplitude)
+# Re-exported: the residual is measured where a field is built (fields.py).
+from .fields import TRANSVERSE_TOL, transversality_residual  # noqa: F401
 from .grid import Grid
 from .units import NATURAL, UnitsConfig
 
 ZERO_MODE_TOL = 1e-10
-TRANSVERSE_TOL = 1e-10
 
 
 def omega(grid: Grid, units: UnitsConfig = NATURAL) -> np.ndarray:
@@ -64,7 +64,7 @@ def zero_mode_guard(zero_mode: str, fields=(), message: str = ""):
 
 def _same_domain(field: SpectralField, freq_data: np.ndarray,
                  transverse: bool) -> SpectralField:
-    out = SpectralField(field.grid, freq_data, FREQUENCY, transverse)
+    out = _trusted(field.grid, freq_data, FREQUENCY, transverse)
     return out if field.is_frequency else to_position(out)
 
 
@@ -113,21 +113,6 @@ def _unit_k(grid: Grid) -> tuple:
     return kx / safe, ky / safe, kz / safe
 
 
-def transversality_residual(field: SpectralField) -> float:
-    """max |k . v~| relative to the spectral peak of |k| |v~|."""
-    if field.grid.dim != 3:
-        raise DimensionError("transversality is defined for three-dimensional fields")
-    f = to_frequency(field)
-    kx, ky, kz = f.grid.k_vectors
-    vx, vy, vz = f.data
-    div = np.abs(kx * vx + ky * vy + kz * vz)
-    scale = float(np.max(f.grid.k_magnitude * np.sqrt(
-        np.abs(vx) ** 2 + np.abs(vy) ** 2 + np.abs(vz) ** 2)))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(div)) / scale
-
-
 def transverse_project(field: SpectralField) -> SpectralField:
     """Remove the longitudinal part: v~ - k^ (k^ . v~).
 
@@ -153,17 +138,17 @@ def helicity_apply(field: SpectralField) -> SpectralField:
     """Helicity operator: i k^ x v~ in three dimensions, sign(k) in one.
 
     The zero mode maps to zero.  Three-dimensional input must be
-    divergence-free, otherwise the operator mixes in unphysical content.
+    divergence-free, otherwise the operator mixes in unphysical content;
+    only input not flagged transverse is measured.
     """
     f = to_frequency(field)
     g = f.grid
     if g.dim == 1:
         out = np.sign(g.k_axis) * f.data
         return _same_domain(field, out, field.transverse)
-    if transversality_residual(f) > TRANSVERSE_TOL:
-        raise TransversalityError(
-            "helicity is defined on divergence-free fields; "
-            "apply transverse_project first")
+    if not f.transverse:
+        require_transverse(f, "helicity is defined on divergence-free fields; "
+                              "apply transverse_project first")
     ux, uy, uz = _unit_k(g)
     vx, vy, vz = f.data
     out = np.empty_like(f.data)
@@ -251,7 +236,7 @@ def plane_wave(grid: Grid, mode_index, sigma: int = None) -> SpectralField:
     x, y, z = grid.position_mesh()
     phase = np.exp(1j * (kvec[0] * x + kvec[1] * y + kvec[2] * z))
     data = (2.0 * np.pi) ** -1.5 * eps[:, None, None, None] * phase[None, :, :, :]
-    return SpectralField(grid, data, POSITION, transverse=True)
+    return _trusted(grid, data, POSITION, True)
 
 
 @dataclass(eq=False)
@@ -288,8 +273,8 @@ def momentum_amplitudes(field: SpectralField) -> MomentumAmplitudes:
     if g.dim == 1:
         sign = np.sign(g.k_axis)
         return MomentumAmplitudes(g, f.data * (sign > 0), f.data * (sign < 0))
-    if transversality_residual(f) > TRANSVERSE_TOL:
-        raise TransversalityError("momentum amplitudes require a divergence-free field")
+    if not f.transverse:
+        require_transverse(f, "momentum amplitudes require a divergence-free field")
     table = g.polarization_table
     zp = np.sum(np.conj(table[0]) * f.data, axis=0)
     zm = np.sum(np.conj(table[1]) * f.data, axis=0)
@@ -305,4 +290,4 @@ def synthesize_from_amplitudes(amps: MomentumAmplitudes) -> SpectralField:
         return to_position(SpectralField(g, data, FREQUENCY))
     table = g.polarization_table
     data = table[0] * amps.plus[None] + table[1] * amps.minus[None]
-    return to_position(SpectralField(g, data, FREQUENCY, transverse=True))
+    return to_position(_trusted(g, data, FREQUENCY, True))

@@ -31,12 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError, TransversalityError, ZeroStateError
-from .fields import (FREQUENCY, SpectralField, l2_norm, magnitude, to_frequency,
-                     to_position)
-from .operators import (TRANSVERSE_TOL, apply_frequency_power, curl,
-                        helicity_apply, omega, omega_power,
-                        transversality_residual, zero_mode_guard)
+from .errors import GridMismatchError, ZeroStateError
+from .fields import (FREQUENCY, SpectralField, _trusted, l2_norm, magnitude,
+                     require_transverse, to_frequency, to_position)
+from .operators import (apply_frequency_power, curl, helicity_apply, omega,
+                        omega_power, zero_mode_guard)
 from .units import NATURAL, UnitsConfig
 
 REAL_TOL = 1e-12
@@ -49,13 +48,13 @@ def _check_physical_field(field: SpectralField, name: str, require_real: bool = 
         im = float(np.max(np.abs(pos.data.imag)))
         if im > REAL_TOL * peak:
             raise ValueError(f"{name} must be a real field (max |Im| = {im:.3e})")
-    if field.grid.dim == 3 and transversality_residual(field) > TRANSVERSE_TOL:
-        raise TransversalityError(f"{name} must be divergence-free")
+    if not field.transverse:
+        require_transverse(field, f"{name} must be divergence-free")
 
 
 def _check_state_field(field: SpectralField):
-    if field.grid.dim == 3 and transversality_residual(field) > TRANSVERSE_TOL:
-        raise TransversalityError("state fields must be divergence-free")
+    if not field.transverse:
+        require_transverse(field, "state fields must be divergence-free")
 
 
 @dataclass(eq=False)
@@ -96,7 +95,8 @@ class PhotonState:
     system and its norm in the representation's own inner product.
 
     Each subclass names its ``representation`` ("lp" or "bb") and defines
-    the norm, which is computed once, when the state is built.
+    the norm, which is computed once, when the state is built.  A norm
+    that is not finite (a NaN or Inf sample) raises ValueError.
     """
 
     field: SpectralField
@@ -105,6 +105,8 @@ class PhotonState:
     def __post_init__(self):
         _check_state_field(self.field)
         self.norm = self._norm()
+        if not np.isfinite(self.norm):
+            raise ValueError(f"state norm must be finite, got {self.norm}")
 
     @property
     def grid(self):
@@ -238,7 +240,7 @@ def evolve(state, t: float):
     """Free evolution by the diagonal phase exp(-i w(k) t)."""
     ff = to_frequency(state.field)
     phase = np.exp(-1j * omega(ff.grid, state.units) * float(t))
-    out = SpectralField(ff.grid, ff.data * phase, FREQUENCY, ff.transverse)
+    out = _trusted(ff.grid, ff.data * phase, FREQUENCY, ff.transverse)
     if state.field.is_position:
         out = to_position(out)
     return type(state)(out, state.units)

@@ -142,6 +142,19 @@ def test_helicity_parts_equal_two_projections(grid1_small, grid3, rng, dim, doma
         assert np.array_equal(part.data, ref.data)
 
 
+def test_transverse_flag_is_checked_where_set_and_kept_by_operators(grid3, rng):
+    f = _random_transverse(grid3, rng)
+    assert f.transverse
+    for out in (f.copy_with(), to_position(f), -f, 2.0 * f, f / 3.0, f + f, f - f,
+                strip_zero_mode(f), curl(f), helicity_apply(f),
+                apply_frequency_power(f, 0.5), *helicity_parts(f)):
+        assert out.transverse
+    gradient = np.stack(np.broadcast_arrays(*grid3.k_vectors)).astype(complex)
+    with pytest.raises(TransversalityError):
+        f.copy_with(data=gradient)
+    assert not (f + SpectralField(grid3, gradient, FREQUENCY)).transverse
+
+
 def test_helicity_requires_transversality(grid3, rng):
     shape = (3,) + grid3.spatial_shape
     f = SpectralField(grid3, rng.standard_normal(shape)

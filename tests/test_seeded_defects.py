@@ -6,14 +6,21 @@ module that binds the patched name (or, for a grid table, on the Grid
 class), and runs the suites on small grids (1d n = 256 and 3d 16**3,
 box 16).  The same suites pass on the same grids without the defect, so
 each failure is the defect's doing.
+
+The ``transverse`` flag is checked only where a caller sets it and trusted
+after that, so a field flagged transverse that is not must fail at that
+boundary, or in the transversality-residual row, which measures its fields
+explicitly.  A spy planted the same way counts the measurements.
 """
 
 import sys
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
-from photonloc import Grid, checks, fields, operators
+from photonloc import FREQUENCY, Grid, SpectralField, checks, fields, operators
+from photonloc.errors import TransversalityError
 from photonloc.energy import energy_density
 from photonloc.scenarios import make_bb_compact, make_lp_compact, make_lp_extended
 
@@ -132,3 +139,42 @@ def test_minus_polarization_set_to_plus_fails_operator_algebra(monkeypatch):
     algebra, _ = operator_suites()
     assert {"polarization-conjugation", "momentum-amplitude-round-trip",
             "momentum-amplitude-parseval"} <= failed(algebra)
+
+
+def test_longitudinal_field_flagged_transverse_is_rejected():
+    gradient = np.stack(np.broadcast_arrays(*GRID3.k_vectors)).astype(complex)
+    with pytest.raises(TransversalityError):
+        SpectralField(GRID3, gradient, FREQUENCY, transverse=True)
+
+
+def test_leaky_transverse_project_fails_the_residual_row(monkeypatch):
+    """A projection that keeps 1e-6 of the longitudinal part but still
+    flags its output transverse: no consumer measures the flagged field
+    again, so the transversality-residual row has to catch it."""
+    def make_defect(original):
+        def transverse_project(field):
+            out = original(field)
+            leaky = out.data + 1e-6 * (field.data - out.data)
+            return fields._trusted(out.grid, leaky, out.domain, True)
+        return transverse_project
+    plant(monkeypatch, "transverse_project", make_defect)
+    algebra, isomorphism = operator_suites()
+    assert {"transversality-residual", "projector-idempotence",
+            "helicity-squared-3d"} <= failed(algebra)
+    assert "em-cross-path-3d" in failed(isomorphism)
+
+
+def test_operator_suites_measure_transversality_only_in_the_residual_row(monkeypatch):
+    calls = []
+
+    def make_spy(original):
+        def transversality_residual(field):
+            calls.append(field.transverse)
+            return original(field)
+        return transversality_residual
+    plant(monkeypatch, "transversality_residual", make_spy)
+    checks.suite_operator_algebra(GRID1, GRID3, n_fields=8)
+    assert calls == [True] * 8
+    calls.clear()
+    checks.suite_isomorphism(GRID1, GRID3, n_pairs=5)
+    assert calls == []

@@ -99,6 +99,34 @@ def test_nontransverse_3d_state_rejected(grid3, rng):
         BBState(messy)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_sample_fails_the_transversality_guard(bad):
+    grid = Grid(3, 8.0, 8)
+    data = plane_wave(grid, (1, 0, 0), 1).data.copy()
+    data[0, 1, 2, 3] = bad
+    field = SpectralField(grid, data)
+    with pytest.raises(TransversalityError):
+        LPState(field)
+    with pytest.raises(TransversalityError):
+        BBState(field)
+    with pytest.raises(TransversalityError):
+        SpectralField(grid, data, transverse=True)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("cls", [LPState, BBState])
+def test_non_finite_norm_rejected(grid1_small, cls, bad):
+    data = np.exp(-grid1_small.axis ** 2).astype(complex)
+    data[7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        cls(SpectralField(grid1_small, data))
+    # an operator output is flagged transverse and never measured
+    with pytest.raises(ValueError, match="finite"):
+        cls(bad * plane_wave(Grid(3, 8.0, 8), (1, 0, 0), 1))
+
+
 # ------------------------------------------------------------- isomorphism
 
 @pytest.mark.parametrize("dim", [1, 3])
