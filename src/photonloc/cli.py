@@ -57,16 +57,20 @@ def _add_units_args(parser):
                         help="vacuum permittivity (default 1)")
 
 
-def _add_output_args(parser):
+def _add_output_args(parser, data_format=True, plots=True):
+    """The output options a subcommand reads: the directory always, the
+    data format and the plot options where it writes them."""
     parser.add_argument("--output-dir", default=None,
                         help="output directory (default: $PHOTONLOC_OUTPUT_DIR "
                              "or the working directory)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="data file format (default csv)")
-    parser.add_argument("--plot", choices=("none", "svg"), default="svg",
-                        help="plot output (default svg)")
-    parser.add_argument("--log-scale", action="store_true",
-                        help="use a log scale on the linear panels too")
+    if data_format:
+        parser.add_argument("--format", choices=("csv", "json"), default="csv",
+                            help="data file format (default csv)")
+    if plots:
+        parser.add_argument("--plot", choices=("none", "svg"), default="svg",
+                            help="plot output (default svg)")
+        parser.add_argument("--log-scale", action="store_true",
+                            help="use a log scale on the linear panels too")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,10 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "'cx,cy,cz,r' (ball) or 6 box bounds "
                           "(default: estimated support)")
     loc.add_argument("--windows", default="2,6",
-                     help="tail-fit window 'lo,hi' in units of the pulse "
-                          "length (default '2,6')")
+                     help="tail-fit window 'lo,hi': absolute radii, in the "
+                          "units of the box length (default '2,6')")
     _add_units_args(loc)
-    _add_output_args(loc)
+    _add_output_args(loc, data_format=False, plots=False)
 
     check = sub.add_parser("check", help="run the verification suites",
                            description="Run the numerical verification suites "
@@ -137,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="relative floor for the witness suites "
                             "(default 1e-8)")
     _add_units_args(check)
-    _add_output_args(check)
+    _add_output_args(check, plots=False)
     return parser
 
 

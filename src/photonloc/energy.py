@@ -92,7 +92,7 @@ class DetectorVolume:
         if len(lo) not in (1, 3) or len(hi) != len(lo):
             raise ValueError("corners need one or three matching axes")
         kind, axes = ("interval", "") if len(lo) == 1 else ("box", " on every axis")
-        if any(h < l for l, h in zip(lo, hi)):
+        if not all(l <= h for l, h in zip(lo, hi)):
             raise ValueError(f"{kind} needs lo <= hi{axes}")
         return cls(kind, lo=lo, hi=hi)
 
@@ -112,7 +112,9 @@ class DetectorVolume:
         center = tuple(float(v) for v in center)
         if len(center) != 3:
             raise ValueError("ball center must be a 3-vector")
-        if radius < 0.0:
+        if any(math.isnan(c) for c in center):
+            raise ValueError("ball center must not be NaN")
+        if not (radius >= 0.0):
             raise ValueError("ball radius must be nonnegative")
         return cls("ball", center=center, radius=float(radius))
 

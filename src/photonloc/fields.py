@@ -44,8 +44,10 @@ class SpectralField:
     ``transverse`` claims that a three-dimensional field is divergence-free,
     k . v~(k) = 0.  The claim is checked once, where a caller sets it: a 3d
     field built with ``transverse=True`` whose transversality_residual is
-    not at most TRANSVERSE_TOL raises TransversalityError.  Operators that
-    preserve or enforce transversality set the flag on their outputs
+    not at most TRANSVERSE_TOL raises TransversalityError.  A consumer that
+    needs an unflagged field to be transverse measures it through
+    require_transverse, and a passing measurement sets the flag.  Operators
+    that preserve or enforce transversality set the flag on their outputs
     without measuring, and every consumer trusts it afterwards.  Writing
     into ``.data`` in place after construction voids the claim.
     """
@@ -64,6 +66,7 @@ class SpectralField:
             raise ValueError(f"data shape {data.shape} does not match grid shape {expected}")
         self.data = data
         if self.transverse:
+            self.transverse = False
             require_transverse(self, "a field flagged transverse must be divergence-free")
 
     @property
@@ -160,10 +163,18 @@ def transversality_residual(field: SpectralField) -> float:
 
 
 def require_transverse(field: SpectralField, message: str):
-    """Raise TransversalityError(message) unless a 3d field is measured
-    divergence-free.  A residual that is NaN fails the test."""
+    """Raise TransversalityError(message) unless the field is transverse.
+
+    A field flagged transverse is trusted.  Otherwise a 3d field is
+    measured, and a residual above TRANSVERSE_TOL, or NaN, raises and leaves
+    the flag unset; a field that passes (every 1d field does) is flagged,
+    so no later consumer measures it again.
+    """
+    if field.transverse:
+        return
     if field.grid.dim == 3 and not (transversality_residual(field) <= TRANSVERSE_TOL):
         raise TransversalityError(message)
+    field.transverse = True
 
 
 def _spatial_axes(grid: Grid) -> tuple:

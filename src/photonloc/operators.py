@@ -146,9 +146,8 @@ def helicity_apply(field: SpectralField) -> SpectralField:
     if g.dim == 1:
         out = np.sign(g.k_axis) * f.data
         return _same_domain(field, out, field.transverse)
-    if not f.transverse:
-        require_transverse(f, "helicity is defined on divergence-free fields; "
-                              "apply transverse_project first")
+    require_transverse(f, "helicity is defined on divergence-free fields; "
+                          "apply transverse_project first")
     ux, uy, uz = _unit_k(g)
     vx, vy, vz = f.data
     out = np.empty_like(f.data)
@@ -273,8 +272,7 @@ def momentum_amplitudes(field: SpectralField) -> MomentumAmplitudes:
     if g.dim == 1:
         sign = np.sign(g.k_axis)
         return MomentumAmplitudes(g, f.data * (sign > 0), f.data * (sign < 0))
-    if not f.transverse:
-        require_transverse(f, "momentum amplitudes require a divergence-free field")
+    require_transverse(f, "momentum amplitudes require a divergence-free field")
     table = g.polarization_table
     zp = np.sum(np.conj(table[0]) * f.data, axis=0)
     zm = np.sum(np.conj(table[1]) * f.data, axis=0)

@@ -48,13 +48,11 @@ def _check_physical_field(field: SpectralField, name: str, require_real: bool = 
         im = float(np.max(np.abs(pos.data.imag)))
         if im > REAL_TOL * peak:
             raise ValueError(f"{name} must be a real field (max |Im| = {im:.3e})")
-    if not field.transverse:
-        require_transverse(field, f"{name} must be divergence-free")
+    require_transverse(field, f"{name} must be divergence-free")
 
 
 def _check_state_field(field: SpectralField):
-    if not field.transverse:
-        require_transverse(field, "state fields must be divergence-free")
+    require_transverse(field, "state fields must be divergence-free")
 
 
 @dataclass(eq=False)

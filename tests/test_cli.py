@@ -11,6 +11,8 @@ import photonloc
 from photonloc import Grid, LPState, SpectralField, cli, save_state
 from photonloc.checks import SuiteResult, _at_most
 
+from test_golden import _state_3d  # noqa: E402
+
 PANEL_LABELS = "abcdef"
 
 # Directory holding the imported package: the child process runs these same
@@ -206,6 +208,37 @@ def test_locality_bad_arguments(tmp_path):
     assert_cli_error(res)
 
 
+@pytest.fixture(scope="module")
+def state_3d_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("state3d") / "state_3d.json"
+    save_state(_state_3d("lp"), path)
+    return path
+
+
+@pytest.mark.parametrize("volume", ["nan,0.5", "-1,nan", "0,0,0,nan", "0,nan,0,3",
+                                    "-2,-2,nan,2,2,2"])
+def test_nan_source_volume_exits_1(state_3d_file, tmp_path, volume):
+    state = ["--grid-n", "1024"] if volume.count(",") == 1 else [str(state_3d_file)]
+    res = run_cli(["locality", *state, f"--source-volume={volume}",
+                   "--output-dir", str(tmp_path)], cwd=tmp_path)
+    assert_cli_error(res)
+    assert not (tmp_path / "locality_report.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["locality", "--format", "json"],
+    ["locality", "--plot", "none"],
+    ["locality", "--log-scale"],
+    ["check", "--plot", "none"],
+    ["check", "--log-scale"],
+])
+def test_output_options_a_subcommand_does_not_read_are_rejected(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_locality_default_source_covering_the_box_names_the_option(demo_dir, tmp_path):
     # lp-extended is not compact: its support at the 1e-8 floor fills the box.
     out, _ = demo_dir
@@ -245,8 +278,8 @@ def test_check_detects_infeasible_floor(tmp_path):
     ["check", "--grid-n", "256", "--n-fields", "4", "--floor", "0"],
 ])
 def test_floor_must_be_finite_and_positive(tmp_path, args):
-    res = run_cli(args + ["--format", "json", "--output-dir", str(tmp_path)],
-                  cwd=tmp_path)
+    report = ["--format", "json"] if args[0] == "check" else []
+    res = run_cli(args + report + ["--output-dir", str(tmp_path)], cwd=tmp_path)
     assert_cli_error(res)
     assert "floor must be finite and positive" in res.stderr
     assert list(tmp_path.iterdir()) == []

@@ -145,6 +145,18 @@ def test_volume_validation(grid1, grid3):
         DetectorVolume.box((-1.0,) * 3, (1.0,) * 3).check_in_domain(grid1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: DetectorVolume.interval(np.nan, 0.5),
+    lambda: DetectorVolume.interval(-1.0, np.nan),
+    lambda: DetectorVolume.box((-1.0, np.nan, -1.0), (1.0, 1.0, 1.0)),
+    lambda: DetectorVolume.ball((0.0, 0.0, np.nan), 1.0),
+    lambda: DetectorVolume.ball((0.0, 0.0, 0.0), np.nan),
+], ids=["interval-lo", "interval-hi", "box", "ball-center", "ball-radius"])
+def test_nan_volume_rejected(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 # -------------------------------------------------------------- knight test
 
 def test_knight_distinguishable_compact_pulse():

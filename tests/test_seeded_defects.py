@@ -19,10 +19,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from photonloc import FREQUENCY, Grid, SpectralField, checks, fields, operators
+from photonloc import (FREQUENCY, BBState, Grid, LPState, SpectralField, checks,
+                       fields, operators)
 from photonloc.errors import TransversalityError
 from photonloc.energy import energy_density
 from photonloc.scenarios import make_bb_compact, make_lp_compact, make_lp_extended
+
+from test_golden import _state_3d  # noqa: E402
 
 GRID1 = Grid(1, 16.0, 256)
 GRID3 = Grid(3, 16.0, 16)
@@ -164,7 +167,9 @@ def test_leaky_transverse_project_fails_the_residual_row(monkeypatch):
     assert "em-cross-path-3d" in failed(isomorphism)
 
 
-def test_operator_suites_measure_transversality_only_in_the_residual_row(monkeypatch):
+def spy_on_measurements(monkeypatch) -> list:
+    """Plant a spy on transversality_residual.  The returned list records,
+    per measurement, whether the measured field was flagged transverse."""
     calls = []
 
     def make_spy(original):
@@ -173,8 +178,44 @@ def test_operator_suites_measure_transversality_only_in_the_residual_row(monkeyp
             return original(field)
         return transversality_residual
     plant(monkeypatch, "transversality_residual", make_spy)
+    return calls
+
+
+def unflagged_curl_field() -> SpectralField:
+    """The golden 16^3 LP state's field (the curl of a Gaussian vector
+    potential), rebuilt from its samples so its flag is unset."""
+    return SpectralField(GRID3, _state_3d("lp").field.data)
+
+
+def test_operator_suites_measure_transversality_only_in_the_residual_row(monkeypatch):
+    calls = spy_on_measurements(monkeypatch)
     checks.suite_operator_algebra(GRID1, GRID3, n_fields=8)
     assert calls == [True] * 8
     calls.clear()
     checks.suite_isomorphism(GRID1, GRID3, n_pairs=5)
     assert calls == []
+
+
+@pytest.mark.parametrize("cls", [LPState, BBState])
+def test_an_unflagged_state_field_is_measured_once(monkeypatch, cls):
+    """The state's check flags the field it keeps, so the energy density and
+    the helicity split of the zero-mean field trust it."""
+    field = unflagged_curl_field()
+    calls = spy_on_measurements(monkeypatch)
+    state = cls(field)
+    assert state.field is field and field.transverse
+    energy_density(state)
+    operators.helicity_parts(fields.strip_zero_mode(field))
+    assert calls == [False]
+
+
+def test_a_longitudinal_field_is_measured_and_rejected_on_every_call(monkeypatch):
+    calls = spy_on_measurements(monkeypatch)
+    gradient = SpectralField(GRID3, np.stack(np.broadcast_arrays(*GRID3.k_vectors)),
+                             FREQUENCY)
+    for consumer in (LPState, BBState, operators.helicity_apply,
+                     operators.momentum_amplitudes):
+        with pytest.raises(TransversalityError):
+            consumer(gradient)
+        assert not gradient.transverse
+    assert calls == [False] * 4
