@@ -404,8 +404,7 @@ def suite_truth_table(figset) -> SuiteResult:
         checks.append(_above(f"{label}-{curve_name}-extended-at-2", rel, floor))
 
     pa = figset.panels["a"]
-    supp_a = support_estimate(
-        SpectralField(g, pa.lp_abs.astype(np.complex128)), floor)
+    supp_a = support_estimate(figset.states["a"].field, floor)
     checks.append(_at_most("a-lp-support-radius-offset",
                            abs(supp_a.radii[0] - half_pulse), g.spacing))
     extended("a", "bb", pa.bb_abs)
@@ -417,8 +416,7 @@ def suite_truth_table(figset) -> SuiteResult:
     extended("b", "energy", pb.energy)
 
     pc = figset.panels["c"]
-    supp_c = support_estimate(
-        SpectralField(g, pc.bb_abs.astype(np.complex128)), floor)
+    supp_c = support_estimate(figset.states["c"].field, floor)
     checks.append(_at_most("c-bb-support-radius-offset",
                            abs(supp_c.radii[0] - half_pulse), g.spacing))
     extended("c", "lp", pc.lp_abs)
@@ -433,9 +431,15 @@ def suite_nonlocality_floor(figset) -> SuiteResult:
     bb-compact state's minimum sits on the parity-suppressed antipodal node
     (see scenarios), so a second check certifies that every other node
     carries a resolvable value above the detector floor.
+
+    Every Knight test takes the pulse interval as its source: each state is
+    compact there in one natural quantity (psi, the potentials, or F).  The
+    lp-extended state's own field is not compact, so its estimated support
+    would fill the box and leave no probe cell.
     """
     g = figset.grid
     half_pulse = 0.5 * figset.pulse_length
+    source = DetectorVolume.interval(-half_pulse, half_pulse)
     checks = []
     for label in ("a", "b", "c"):
         panel = figset.panels[label]
@@ -446,16 +450,6 @@ def suite_nonlocality_floor(figset) -> SuiteResult:
                              float(ordered[0]), 0.0))
         checks.append(_above(f"{label}-min-excluding-antipode-node",
                              float(ordered[1]) / peak, 1e-12))
-        if label == "a":
-            src = support_estimate(SpectralField(g, panel.lp_abs.astype(np.complex128)),
-                                   PHYSICAL_FLOOR)
-            source = src.volume()
-        elif label == "c":
-            src = support_estimate(SpectralField(g, panel.bb_abs.astype(np.complex128)),
-                                   PHYSICAL_FLOOR)
-            source = src.volume()
-        else:
-            source = DetectorVolume.interval(-half_pulse, half_pulse)
         report = knight_locality_test(emap, source)
         checks.append(_above(f"{label}-knight-detector-energy",
                              report.detector_energy, report.floor))

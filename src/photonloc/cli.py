@@ -236,8 +236,11 @@ def cmd_demo_fig2(args) -> int:
 def cmd_energy(args) -> int:
     out = _resolve_output_dir(args)
     state = load_state(args.state_file)
-    lp_abs, bb_abs, emap = state_curves(state)
-    grid = emap.grid
+    grid = state.grid
+    if grid.dim == 1:
+        lp_abs, bb_abs, emap = state_curves(state)
+    else:
+        emap = energy_density(state)
     total = total_energy(emap)
 
     if grid.dim == 1:
@@ -280,6 +283,10 @@ def cmd_energy(args) -> int:
 def cmd_locality(args) -> int:
     out = _resolve_output_dir(args)
     units = _units_from(args)
+    window = _parse_floats(args.windows, "--windows")
+    if len(window) != 2 or not (0.0 < window[0] < window[1] < np.inf):
+        raise PhotonlocError(f"--windows needs two radii 0 < lo < hi < inf, "
+                             f"got {args.windows!r}")
     if args.state_file is not None:
         state = load_state(args.state_file)
         origin = args.state_file
@@ -305,10 +312,6 @@ def cmd_locality(args) -> int:
                 f"{PHYSICAL_FLOOR:g} of the peak, has radii ({radii}); give a "
                 "smaller source region with --source-volume") from None
 
-    window = _parse_floats(args.windows, "--windows")
-    if len(window) != 2:
-        raise PhotonlocError(f"--windows needs exactly two numbers, got "
-                             f"{args.windows!r}")
     try:
         fit = tail_exponent_fit(emap, (window[0], window[1]))
         fit_payload, fit_note = fit, None

@@ -126,13 +126,13 @@ class DetectorVolume:
         return self.lo, self.hi
 
     def meets(self, cell: "DetectorVolume") -> bool:
-        """Whether the volume meets an interval or box cell.  A cell that
-        shares only a face with an interval or box does not meet it; a ball
-        meets every cell within its radius, touching ones included."""
+        """Whether the interiors of the volume and an interval or box cell
+        intersect; a cell that only touches the volume's boundary does not
+        meet it."""
         if self.kind == "ball":
             gaps = (max(l - c, c - h, 0.0)
                     for l, h, c in zip(cell.lo, cell.hi, self.center))
-            return sum(d * d for d in gaps) <= self.radius ** 2
+            return sum(d * d for d in gaps) < self.radius ** 2
         return all(h > vl and l < vh
                    for l, h, vl, vh in zip(cell.lo, cell.hi, self.lo, self.hi))
 
@@ -151,7 +151,7 @@ class DetectorVolume:
             raise ValueError(f"a {self.kind} volume needs a {expected_dim}-dimensional grid")
         half = 0.5 * grid.length
         lo, hi = self.bounding_box()
-        if any(l < -half for l in lo) or any(h > half for h in hi):
+        if not (all(-half <= l for l in lo) and all(h <= half for h in hi)):
             raise VolumeOutOfDomainError(
                 f"volume {self} extends beyond the box [-{half}, {half}]")
 
@@ -187,7 +187,6 @@ class KnightReport:
     source: DetectorVolume
     detector: DetectorVolume
     detector_energy: float
-    vacuum_energy: float
     floor: float
     distinguishable: bool
     verdict: str
@@ -199,11 +198,11 @@ def knight_locality_test(emap: EnergyDensityMap, source: DetectorVolume,
     """Probe whether any detector disjoint from the source region can tell
     the state from vacuum through its captured energy.
 
-    The domain is tiled with probe cells, probe_cells ** (1/dim) per axis
-    (at least two); cells meeting the source are discarded and the best
-    remaining cell is reported.  The verdict is "distinguishable" when its
-    energy exceeds the floor (default 1e-12 of the peak density, i.e. far
-    below any physically meaningful signal).
+    The domain is tiled with the fewest cells per axis, at least two, that
+    give at least probe_cells cells; cells meeting the source are discarded
+    and the best remaining cell is reported.  The verdict is
+    "distinguishable" when its energy exceeds the floor (default 1e-12 of
+    the peak density, i.e. far below any physically meaningful signal).
     """
     source.check_in_domain(emap.grid)
     if probe_cells < 2:
@@ -215,7 +214,7 @@ def knight_locality_test(emap: EnergyDensityMap, source: DetectorVolume,
         raise ValueError(f"floor must be finite and positive, got {floor}")
 
     g = emap.grid
-    per_axis = max(2, round(probe_cells ** (1.0 / g.dim)))
+    per_axis = next(m for m in itertools.count(2) if m ** g.dim >= probe_cells)
     edges = np.linspace(-0.5 * g.length, 0.5 * g.length, per_axis + 1)
     spans = [(float(edges[i]), float(edges[i + 1])) for i in range(per_axis)]
     cells = (DetectorVolume.aligned(*zip(*spans_per_axis))
@@ -229,5 +228,5 @@ def knight_locality_test(emap: EnergyDensityMap, source: DetectorVolume,
 
     distinguishable = best_energy > floor
     verdict = "distinguishable" if distinguishable else "indistinguishable-at-floor"
-    return KnightReport(source, best, best_energy, 0.0, floor,
+    return KnightReport(source, best, best_energy, floor,
                         distinguishable, verdict, len(kept))

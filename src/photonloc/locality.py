@@ -164,8 +164,8 @@ def tail_exponent_fit(emap: EnergyDensityMap, window: tuple,
     if model in ("auto", "stretched"):
         fits["stretched"] = _fit_stretched(r, logy)
     name = max(fits, key=lambda m: fits[m][1])
-    params, r2 = fits[name]
-    return TailFit(name, params, float(r2), (r1, r2), int(r.size))
+    params, r_squared = fits[name]
+    return TailFit(name, params, float(r_squared), (r1, r2), int(r.size))
 
 
 @dataclass(eq=False)

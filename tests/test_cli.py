@@ -10,6 +10,7 @@ import pytest
 import photonloc
 from photonloc import Grid, LPState, SpectralField, cli, save_state
 from photonloc.checks import SuiteResult, _at_most
+from photonloc.states import representation_images
 
 from test_golden import _state_3d  # noqa: E402
 
@@ -223,6 +224,41 @@ def test_nan_source_volume_exits_1(state_3d_file, tmp_path, volume):
                    "--output-dir", str(tmp_path)], cwd=tmp_path)
     assert_cli_error(res)
     assert not (tmp_path / "locality_report.json").exists()
+
+
+@pytest.mark.parametrize("windows", ["nan,5", "6,2", "0,5", "2,inf"])
+def test_locality_malformed_windows_exit_1(tmp_path, windows):
+    res = run_cli(["locality", "--grid-n", "1024", f"--windows={windows}",
+                   "--output-dir", str(tmp_path)], cwd=tmp_path)
+    assert_cli_error(res)
+    assert "--windows" in res.stderr
+    assert not (tmp_path / "locality_report.json").exists()
+
+
+def test_locality_3d_box_source_wider_than_a_sixth_of_the_box(state_3d_file, tmp_path):
+    # On a box of 16 the Knight tiling has faces at 0 and +-4: the +-3 source
+    # meets the eight centre cells and leaves 56.
+    res = run_cli(["locality", str(state_3d_file), "--source-volume=-3,-3,-3,3,3,3",
+                   "--output-dir", str(tmp_path)], cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert "knight verdict: distinguishable" in res.stdout
+    knight = json.loads((tmp_path / "locality_report.json").read_text())["knight"]
+    assert knight["n_cells"] == 56
+
+
+def test_energy_3d_builds_only_the_energy_map(state_3d_file, tmp_path, monkeypatch,
+                                              capsys):
+    calls = []
+
+    def spy(state):
+        calls.append(state)
+        return representation_images(state)
+
+    for module in (photonloc.energy, photonloc.scenarios):
+        monkeypatch.setattr(module, "representation_images", spy)
+    assert cli.main(["energy", str(state_3d_file), "--format", "json",
+                     "--output-dir", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("args", [

@@ -23,7 +23,6 @@ def test_zero_state_zero_map(grid1_small):
     report = knight_locality_test(emap, DetectorVolume.interval(-1.0, 1.0))
     assert report.verdict == "indistinguishable-at-floor"
     assert not report.distinguishable
-    assert report.vacuum_energy == 0.0
 
 
 def test_energy_density_rejects_other_types(grid1_small):
@@ -145,6 +144,16 @@ def test_volume_validation(grid1, grid3):
         DetectorVolume.box((-1.0,) * 3, (1.0,) * 3).check_in_domain(grid1)
 
 
+@pytest.mark.parametrize("volume", [
+    DetectorVolume("ball", center=(0.0, 0.0, 0.0), radius=np.nan),
+    DetectorVolume("box", lo=(-1.0, np.nan, -1.0), hi=(1.0, 1.0, 1.0)),
+], ids=["ball", "box"])
+def test_unchecked_nan_volume_is_out_of_domain(volume):
+    # Built without the checked constructors: the domain check still fails closed.
+    with pytest.raises(VolumeOutOfDomainError):
+        volume.check_in_domain(Grid(3, 16.0, 16))
+
+
 @pytest.mark.parametrize("make", [
     lambda: DetectorVolume.interval(np.nan, 0.5),
     lambda: DetectorVolume.interval(-1.0, np.nan),
@@ -210,6 +219,17 @@ def test_knight_3d_box_source_meets_only_the_centre_cell():
     assert report.detector.kind == "box"
 
 
+@pytest.mark.parametrize("dim, probe_cells, cells", [
+    (1, 32, 32), (3, 32, 64), (3, 27, 27), (3, 64, 64)])
+def test_knight_tiling_is_the_fewest_cells_per_axis(dim, probe_cells, cells):
+    # A source in the corner of the box meets exactly one probe cell.
+    grid = Grid(dim, 16.0, 16)
+    emap = EnergyDensityMap(grid, np.ones(grid.spatial_shape), 0.0)
+    corner = DetectorVolume.aligned((-8.0,) * dim, (-7.9,) * dim)
+    report = knight_locality_test(emap, corner, probe_cells=probe_cells)
+    assert report.n_cells + 1 == cells
+
+
 def test_aligned_volume_kind_follows_the_number_of_axes():
     assert DetectorVolume.aligned([-1.0], [2.0]) == DetectorVolume.interval(-1.0, 2.0)
     lo, hi = (-1.0, -2.0, 0.0), (1.0, 2.0, 0.5)
@@ -223,7 +243,8 @@ def test_volume_meets_and_contains_boxes():
     ball = DetectorVolume.ball((0.0, 0.0, 0.0), 1.0)
     assert ball.contains(DetectorVolume.box((0.0,) * 3, (0.5,) * 3))
     assert not ball.contains(DetectorVolume.box((0.0,) * 3, (0.6,) * 3))
-    assert ball.meets(DetectorVolume.box((1.0, 0.0, 0.0), (2.0, 1.0, 1.0)))
+    assert not ball.meets(DetectorVolume.box((1.0, 0.0, 0.0), (2.0, 1.0, 1.0)))
+    assert ball.meets(DetectorVolume.box((0.9, 0.0, 0.0), (2.0, 1.0, 1.0)))
     assert not ball.meets(DetectorVolume.box((0.8, 0.8, 0.0), (2.0, 2.0, 1.0)))
     box = DetectorVolume.box((-1.0,) * 3, (1.0,) * 3)
     assert box.contains(box)

@@ -108,6 +108,14 @@ def test_tail_fit_compact_pulse_energy():
     assert fit.r_squared > 0.99
 
 
+@pytest.mark.parametrize("model", ["auto", "power", "stretched"])
+def test_tail_fit_reports_the_window_it_fitted(model):
+    g = Grid(1, 64.0, 4096)
+    vals = np.maximum(g.radius, 1e-9) ** -3.0
+    fit = tail_exponent_fit(_synthetic_map(g, vals), (1.0, 25.0), model=model)
+    assert fit.window == (1.0, 25.0)
+
+
 def test_tail_fit_window_guards():
     g = Grid(1, 16.0, 2048)
     vals = np.maximum(g.radius, 1e-9) ** -2.0
