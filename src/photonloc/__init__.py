@@ -27,18 +27,18 @@ from .operators import (MomentumAmplitudes, apply_frequency_power, curl,
 from .states import (BBState, EMFields, LPState, PhotonState, bb_from_em,
                      bb_from_lp, bb_inner, evolve, lp_from_bb,
                      lp_from_potentials, lp_inner, normalize,
-                     riemann_silberstein_vector, state_magnitude)
+                     riemann_silberstein_vector)
 from .energy import (DetectorVolume, EnergyDensityMap, KnightReport,
                      detector_energy, energy_density, knight_locality_test,
                      total_energy, volume_weights)
 from .locality import (AntilocalityWitness, HelicityScanReport,
                        LocalizedStateConstruction, SupportEstimate, TailFit,
-                       antilocality_witness, helicity_vanishing_scan,
-                       support_estimate, tail_exponent_fit,
-                       vector_potential_localized_state)
+                       antilocality_witness, helicity_scans,
+                       helicity_vanishing_scan, support_estimate,
+                       tail_exponent_fit, vector_potential_localized_state)
 from .scenarios import (FigureDataset, PanelData, figure2_report,
                         make_bb_compact, make_lp_compact, make_lp_extended,
-                        sin2_profile, state_curves)
+                        odd_pulse_profile, sin2_profile, state_curves)
 from .serialization import load_state, read_csv, save_state, write_csv, write_json
 from .checks import CheckResult, SuiteResult, run_all_checks
 from .units import NATURAL, UnitsConfig

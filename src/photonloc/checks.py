@@ -24,17 +24,17 @@ import numpy as np
 
 from .energy import DetectorVolume, EnergyDensityMap, energy_density, knight_locality_test, total_energy
 from .fields import (FREQUENCY, POSITION, SpectralField, _trusted, l2_inner, l2_norm,
-                     magnitude, peak_magnitude, strip_zero_mode, to_frequency,
-                     to_position)
+                     magnitude, to_frequency, to_position)
 from .grid import Grid
 from .locality import (PHYSICAL_FLOOR, _window_maxima, antilocality_witness,
-                       helicity_vanishing_scan, support_estimate,
-                       tail_exponent_fit, vector_potential_localized_state)
+                       helicity_scans, support_estimate, tail_exponent_fit,
+                       vector_potential_localized_state)
 from .operators import (apply_frequency_power, curl, helicity_apply,
                         helicity_parts, momentum_amplitudes, omega,
                         plane_wave, synthesize_from_amplitudes,
                         transversality_residual, transverse_project)
-from .scenarios import figure2_report, make_lp_compact, sin2_profile
+from .scenarios import (figure2_report, make_lp_compact, odd_pulse_profile,
+                        sin2_profile)
 from .serialization import jsonable, write_csv
 from .states import (BBState, EMFields, LPState, bb_from_em, bb_from_lp,
                      bb_inner, evolve, lp_from_bb, lp_from_potentials,
@@ -116,9 +116,14 @@ def random_real_smooth(grid: Grid, rng, transverse: bool = False) -> SpectralFie
     envelope = np.exp(-((grid.k_magnitude / (0.15 * band_limit(grid))) ** 2))
     data = f.data * envelope
     data[grid.zero_mode_index()] = 0.0
-    out = SpectralField(grid, data, FREQUENCY)
     if transverse and grid.dim == 3:
-        out = transverse_project(out)
+        # The real part taken below is transverse only if the Nyquist
+        # planes, whose modes have no -k partner, are empty.
+        h = grid.n // 2
+        data[:, h] = data[:, :, h] = data[:, :, :, h] = 0.0
+        out = transverse_project(SpectralField(grid, data, FREQUENCY))
+    else:
+        out = SpectralField(grid, data, FREQUENCY)
     pos = to_position(out)
     return _trusted(grid, pos.data.real, POSITION, pos.transverse)
 
@@ -136,14 +141,13 @@ def random_compact_bump(grid: Grid, rng) -> SpectralField:
     return SpectralField(grid, v)
 
 
-def narrowband_state(grid: Grid, k0: float, rel_bandwidth: float,
-                     units: UnitsConfig = NATURAL) -> LPState:
+def narrowband_state(grid: Grid, k0: float, rel_bandwidth: float) -> LPState:
     """Unit-norm 1D wavepacket with a Gaussian spectrum at k0 > 0."""
     sigma = rel_bandwidth * k0
     k = grid.k_axis
     amp = np.exp(-((k - k0) ** 2) / (2.0 * sigma ** 2)).astype(np.complex128)
     amp[grid.zero_mode_index()] = 0.0
-    return normalize(LPState(SpectralField(grid, amp, FREQUENCY), units))
+    return normalize(LPState(SpectralField(grid, amp, FREQUENCY)))
 
 
 # ------------------------------------------------------------------ suites
@@ -497,9 +501,7 @@ def suite_tail_quantification(units: UnitsConfig = NATURAL) -> SuiteResult:
 def suite_vector_potential(grid1: Grid, units: UnitsConfig = NATURAL) -> SuiteResult:
     """The vector-potential-local state: compact profile, nonlocal energy."""
     x = grid1.axis
-    xi_data = np.where(np.abs(x) <= 0.5,
-                       np.sin(2.0 * np.pi * x) * np.cos(np.pi * x) ** 2, 0.0)
-    xi = SpectralField(grid1, xi_data)
+    xi = odd_pulse_profile(grid1, 1.0)
     region = DetectorVolume.interval(-0.5, 0.5)
     built = vector_potential_localized_state(xi, region, units)
 
@@ -560,12 +562,7 @@ def suite_lemma_witnesses(figset, grid1: Grid, seed: int = 23,
     worst_scan = np.inf
     scan_window = max(0.1, 5.0 * grid1.spacing)
     for label in ("a", "b", "c"):
-        state = figset.states[label]
-        field = state.field
-        parent_peak = peak_magnitude(to_position(field))
-        for part in helicity_parts(strip_zero_mode(field)):
-            report = helicity_vanishing_scan(part, scan_window,
-                                             reference_peak=parent_peak)
+        for report in helicity_scans(figset.states[label].field, scan_window):
             if not report.identically_zero:
                 worst_scan = min(worst_scan, report.min_window_max / report.peak)
 

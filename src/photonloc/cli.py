@@ -23,16 +23,16 @@ from .checks import run_all_checks
 from .energy import (DetectorVolume, energy_density, knight_locality_test,
                      total_energy)
 from .errors import InsufficientWindowError, PhotonlocError, ProbeCellError
-from .fields import SpectralField, peak_magnitude, strip_zero_mode, to_position
+from .fields import to_position
 from .grid import Grid
-from .locality import (PHYSICAL_FLOOR, antilocality_witness,
-                       helicity_vanishing_scan, support_estimate,
-                       tail_exponent_fit, vector_potential_localized_state)
-from .operators import helicity_parts
-from .scenarios import figure2_report, make_lp_compact, state_curves
+from .locality import (PHYSICAL_FLOOR, antilocality_witness, helicity_scans,
+                       support_estimate, tail_exponent_fit,
+                       vector_potential_localized_state)
+from .scenarios import (figure2_report, make_lp_compact, odd_pulse_profile,
+                        state_curves)
 from .serialization import load_state, save_state, write_csv, write_json
 from .svgplot import line_plot
-from .units import NATURAL, UnitsConfig
+from .units import UnitsConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -152,8 +152,6 @@ def _resolve_output_dir(args) -> str:
 
 
 def _units_from(args) -> UnitsConfig:
-    if (args.hbar, args.c, args.eps0) == (1.0, 1.0, 1.0):
-        return NATURAL
     return UnitsConfig(hbar=args.hbar, c=args.c, eps0=args.eps0)
 
 
@@ -239,11 +237,7 @@ def cmd_energy(args) -> int:
     grid = state.grid
     if grid.dim == 1:
         lp_abs, bb_abs, emap = state_curves(state)
-    else:
-        emap = energy_density(state)
-    total = total_energy(emap)
-
-    if grid.dim == 1:
+        total = total_energy(emap)
         x = grid.axis
         if args.format == "csv":
             write_csv(os.path.join(out, "energy.csv"),
@@ -261,6 +255,8 @@ def cmd_energy(args) -> int:
                       ylabel="amplitude / energy density",
                       log_y=args.log_scale)
     else:
+        emap = energy_density(state)
+        total = total_energy(emap)
         if args.format == "csv":
             write_csv(os.path.join(out, "energy.csv"),
                       [("r", grid.radius.ravel()),
@@ -318,32 +314,20 @@ def cmd_locality(args) -> int:
     except InsufficientWindowError as exc:
         fit_payload, fit_note = None, str(exc)
 
-    witness = None
+    scan_window = max(grid.length / 50.0, 5.0 * grid.spacing)
+    scans = dict(zip(("plus", "minus"), helicity_scans(field, scan_window)))
+
+    witness = vp = None
     if grid.dim == 1:
         width = grid.length / 20.0
         lo = 0.35 * grid.length
         witness = antilocality_witness(to_position(field),
                                        DetectorVolume.interval(lo, lo + width),
                                        units)
-
-    scan_window = max(grid.length / 50.0, 5.0 * grid.spacing)
-    parent_peak = peak_magnitude(to_position(field))
-    scans = {name: helicity_vanishing_scan(part, scan_window,
-                                           reference_peak=parent_peak)
-             for name, part in zip(("plus", "minus"),
-                                   helicity_parts(strip_zero_mode(field)))}
-
-    vp = None
-    if grid.dim == 1:
-        x = grid.axis
         half = 0.5 * args.pulse_length
-        xi_data = np.where(
-            np.abs(x) <= half,
-            np.sin(2.0 * np.pi * x / args.pulse_length)
-            * np.cos(np.pi * x / args.pulse_length) ** 2, 0.0)
-        xi = SpectralField(grid, xi_data)
         vp_built = vector_potential_localized_state(
-            xi, DetectorVolume.interval(-half, half), units)
+            odd_pulse_profile(grid, args.pulse_length),
+            DetectorVolume.interval(-half, half), units)
         vp_map = energy_density(vp_built.state)
         vp = {
             "support": vp_built.support,

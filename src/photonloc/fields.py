@@ -25,7 +25,7 @@ times phase, is one real temporary of the spatial shape.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,13 +77,9 @@ class SpectralField:
     def is_frequency(self) -> bool:
         return self.domain == FREQUENCY
 
-    def copy_with(self, **changes) -> "SpectralField":
-        """A copy with ``changes`` applied.  A plain copy keeps the flag
-        unmeasured; new data or a new flag is checked as in construction."""
-        if not changes:
-            return _trusted(self.grid, self.data.copy(), self.domain, self.transverse)
-        changes.setdefault("data", self.data.copy())
-        return replace(self, **changes)
+    def copy(self) -> "SpectralField":
+        """A copy of the data that keeps the flag without measuring it."""
+        return _trusted(self.grid, self.data.copy(), self.domain, self.transverse)
 
     def _check_compatible(self, other: "SpectralField"):
         if self.grid != other.grid:

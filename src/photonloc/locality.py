@@ -22,9 +22,9 @@ import numpy as np
 from .energy import DetectorVolume, EnergyDensityMap, volume_weights
 from .errors import (InsufficientWindowError, NotEigenfieldError, SupportError,
                      ZeroStateError)
-from .fields import SpectralField, l2_norm, magnitude, to_position
-from .grid import Grid
-from .operators import apply_frequency_power, helicity_apply
+from .fields import (SpectralField, l2_norm, magnitude, peak_magnitude,
+                     strip_zero_mode, to_position)
+from .operators import apply_frequency_power, helicity_apply, helicity_parts
 from .states import LPState, _check_physical_field, normalize
 from .units import NATURAL, UnitsConfig
 
@@ -186,8 +186,7 @@ class AntilocalityWitness:
 
 
 def antilocality_witness(field: SpectralField, region: DetectorVolume,
-                         units: UnitsConfig = NATURAL,
-                         joint_floor: float = PHYSICAL_FLOOR) -> AntilocalityWitness:
+                         units: UnitsConfig = NATURAL) -> AntilocalityWitness:
     v = to_position(field)
     mag_v = magnitude(v)
     peak_v = float(np.max(mag_v))
@@ -204,9 +203,9 @@ def antilocality_witness(field: SpectralField, region: DetectorVolume,
     max_wv = float(np.max(mag_wv[mask]))
     rel_v = max_v / peak_v
     rel_wv = max_wv / peak_wv if peak_wv > 0.0 else 0.0
-    passed = max(rel_v, rel_wv) > joint_floor
+    passed = max(rel_v, rel_wv) > PHYSICAL_FLOOR
     return AntilocalityWitness(region, max_v, max_wv, rel_v, rel_wv,
-                               float(joint_floor), passed)
+                               PHYSICAL_FLOOR, passed)
 
 
 @dataclass(eq=False)
@@ -280,13 +279,20 @@ def helicity_vanishing_scan(field: SpectralField, window_size: float,
                               min_window_max, peak, floor, False, passed, verdict)
 
 
+def helicity_scans(field: SpectralField, window_size: float) -> tuple:
+    """Scan both helicity parts of a field's zero-mean part, as (plus,
+    minus), each against the whole field's position peak."""
+    peak = peak_magnitude(to_position(field))
+    return tuple(helicity_vanishing_scan(part, window_size, reference_peak=peak)
+                 for part in helicity_parts(strip_zero_mode(field)))
+
+
 @dataclass(eq=False)
 class LocalizedStateConstruction:
     """A photon state built from a compactly supported vector-potential
     profile, with the recovery check that certifies the construction."""
 
     state: LPState
-    region: DetectorVolume
     support: SupportEstimate
     recovery_deviation: float
 
@@ -306,8 +312,6 @@ def vector_potential_localized_state(xi: SpectralField, region: DetectorVolume,
     region.check_in_domain(xi.grid)
     _check_physical_field(xi, "xi")
     pos = to_position(xi)
-    if float(np.max(magnitude(pos))) == 0.0:
-        raise ZeroStateError("profile is identically zero")
     est = support_estimate(pos, SUPPORT_THRESHOLD)
     if not region.contains(est.volume()):
         raise SupportError(
@@ -325,4 +329,4 @@ def vector_potential_localized_state(xi: SpectralField, region: DetectorVolume,
         rec_unit = recovered / rec_norm
         num = float(np.max(np.abs(rec_unit.data - xi_unit.data)))
         deviation = num / float(np.max(np.abs(xi_unit.data)))
-    return LocalizedStateConstruction(state, region, est, deviation)
+    return LocalizedStateConstruction(state, est, deviation)

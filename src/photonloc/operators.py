@@ -83,7 +83,7 @@ def apply_frequency_power(field: SpectralField, s: float,
     """
     if s == 0:
         zero_mode_guard(zero_mode)
-        return field.copy_with()
+        return field.copy()
     f = to_frequency(field)
     zero_mode_guard(zero_mode, [f] if s < 0 else [],
                     "field carries a significant zero-frequency component; "
@@ -226,10 +226,6 @@ def plane_wave(grid: Grid, mode_index, sigma: int = None) -> SpectralField:
         data = (2.0 * np.pi) ** -0.5 * np.exp(1j * kval * grid.axis)
         return SpectralField(grid, data, POSITION)
     mx, my, mz = (int(m) for m in mode_index)
-    if (mx, my, mz) == (0, 0, 0):
-        raise ZeroWaveVectorError("plane waves need a nonzero mode index")
-    if sigma not in (1, -1):
-        raise ValueError("a three-dimensional plane wave needs sigma = +1 or -1")
     kvec = grid.k_spacing * np.array([mx, my, mz], dtype=np.float64)
     eps = polarization_vector(kvec, sigma)
     x, y, z = grid.position_mesh()

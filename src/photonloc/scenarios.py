@@ -60,6 +60,14 @@ def sin2_profile(grid: Grid, pulse_length: float) -> SpectralField:
     return field / l2_norm(field)
 
 
+def odd_pulse_profile(grid: Grid, pulse_length: float) -> SpectralField:
+    """sin(2 pi x/l) cos(pi x/l)**2 on |x| <= l/2: real, zero-mean, compact."""
+    x = grid.axis
+    return SpectralField(grid, np.where(np.abs(x) <= 0.5 * pulse_length,
+                                        np.sin(2.0 * np.pi * x / pulse_length)
+                                        * np.cos(np.pi * x / pulse_length) ** 2, 0.0))
+
+
 def make_lp_compact(grid: Grid, pulse_length: float,
                     units: UnitsConfig = NATURAL) -> LPState:
     """State whose LP wave function is the compact profile itself."""

@@ -23,23 +23,23 @@ STATE_SCHEMA = "photonloc-state-v1"
 
 def jsonable(obj):
     """Recursively convert dataclasses, numpy types and complex numbers to
-    plain JSON-serializable structures."""
+    plain JSON-serializable structures; any other type raises TypeError."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
         return jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, (complex, np.complexfloating)):
         return {"re": float(obj.real), "im": float(obj.imag)}
+    if isinstance(obj, np.generic):
+        return obj.item()
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
-    return str(obj)
+    raise TypeError(f"cannot convert {type(obj).__name__} to JSON")
 
 
 def write_json(path, payload):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, ZeroStateError
-from .fields import (FREQUENCY, SpectralField, _trusted, l2_norm, magnitude,
+from .fields import (FREQUENCY, SpectralField, _trusted, l2_norm,
                      require_transverse, to_frequency, to_position)
 from .operators import (apply_frequency_power, curl, helicity_apply, omega,
                         omega_power, zero_mode_guard)
@@ -101,6 +101,8 @@ class PhotonState:
     units: UnitsConfig = NATURAL
 
     def __post_init__(self):
+        if not isinstance(self.units, UnitsConfig):
+            raise TypeError(f"units must be a UnitsConfig, got {type(self.units).__name__}")
         _check_state_field(self.field)
         self.norm = self._norm()
         if not np.isfinite(self.norm):
@@ -242,11 +244,6 @@ def evolve(state, t: float):
     if state.field.is_position:
         out = to_position(out)
     return type(state)(out, state.units)
-
-
-def state_magnitude(state) -> np.ndarray:
-    """|psi| or |F| at the position nodes."""
-    return magnitude(to_position(state.field))
 
 
 def representation_images(state) -> tuple:

@@ -6,11 +6,20 @@ the suite holds at its stated tolerance.  The suites run once per session
 at the committed default parameters: corpus grids of 4096 points (1d) and
 64**3 points (3d) on a box of 16, pulse length 1, natural units, 50 random
 fields per corpus.
+
+The same run also pins the bytes of the report that ``photonloc check
+--format json`` writes at these defaults.  Like the golden files, the pin
+holds for numpy 2.4.6 with its bundled pocketfft on x86-64.  A change that
+alters the report's bytes updates ``REPORT_SHA256`` and says why.
 """
+
+import hashlib
 
 import pytest
 
-from photonloc import run_all_checks
+from photonloc import run_all_checks, write_json
+
+REPORT_SHA256 = "f25b67bcba5d93daa21b370f14b53647ff879b9ecc423fb604d8650c667a5e50"
 
 CRITERIA = [
     ("01", "operator-algebra"),
@@ -27,9 +36,13 @@ CRITERIA = [
 
 
 @pytest.fixture(scope="module")
-def suites():
-    results = run_all_checks(grid_n=4096, domain=16.0, pulse_length=1.0,
-                             n_fields=50, seed=7)
+def results():
+    return run_all_checks(grid_n=4096, domain=16.0, pulse_length=1.0,
+                          n_fields=50, seed=7)
+
+
+@pytest.fixture(scope="module")
+def suites(results):
     return {suite.name: suite for suite in results}
 
 
@@ -52,3 +65,10 @@ def test_acceptance_criterion(suites, number, name):
 
 def test_every_suite_is_covered(suites):
     assert sorted(suites) == sorted(name for _, name in CRITERIA)
+
+
+def test_default_report_bytes_are_pinned(results, tmp_path):
+    path = tmp_path / "check_report.json"
+    write_json(path, {"suites": results,
+                      "passed": all(suite.passed for suite in results)})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_SHA256

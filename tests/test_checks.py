@@ -44,6 +44,15 @@ def test_random_real_smooth_is_real_zero_mean(grid1, rng):
     assert l2_norm(f) > 0.0
 
 
+def test_random_real_smooth_keeps_a_measured_transverse_flag(grid3, rng, monkeypatch):
+    # A flat envelope leaves the Nyquist planes fully populated; the real
+    # part is transverse only because the builder empties them.
+    monkeypatch.setattr(checks, "band_limit", lambda grid: np.inf)
+    f = random_real_smooth(grid3, rng, transverse=True)
+    assert f.transverse
+    assert transversality_residual(f) <= 1e-12
+
+
 def test_random_compact_bump_is_compact(grid1, rng):
     for _ in range(5):
         f = to_position(random_compact_bump(grid1, rng))
@@ -54,8 +63,8 @@ def test_random_compact_bump_is_compact(grid1, rng):
         assert np.max(np.abs(f.data.imag)) == 0.0
 
 
-def test_narrowband_state_centered(grid1, rng):
-    state = narrowband_state(grid1, 10.0, 0.02, rng)
+def test_narrowband_state_centered(grid1):
+    state = narrowband_state(grid1, 10.0, 0.02)
     assert state.norm == pytest.approx(1.0, rel=1e-12)
     ff = to_frequency(state.psi)
     weights = np.abs(ff.data) ** 2

@@ -1,23 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from photonloc import (DetectorVolume, EnergyDensityMap, Grid, LPState,
                        SpectralField, antilocality_witness, detector_energy,
-                       energy_density, helicity_vanishing_scan, make_lp_compact,
-                       plane_wave, sin2_profile, support_estimate,
-                       tail_exponent_fit, to_position,
+                       energy_density, figure2_report, helicity_parts,
+                       helicity_scans, helicity_vanishing_scan,
+                       make_lp_compact, odd_pulse_profile, peak_magnitude,
+                       plane_wave, sin2_profile, strip_zero_mode,
+                       support_estimate, tail_exponent_fit, to_position,
                        vector_potential_localized_state)
+from photonloc.checks import random_band_limited
 from photonloc.errors import (InsufficientWindowError, NotEigenfieldError,
                               SupportError, VolumeOutOfDomainError,
                               ZeroStateError)
-
-
-def _odd_profile(grid):
-    """sin(2 pi x) cos^2(pi x) on |x| <= 1/2: real, zero-mean, compact."""
-    x = grid.axis
-    data = np.where(np.abs(x) <= 0.5,
-                    np.sin(2.0 * np.pi * x) * np.cos(np.pi * x) ** 2, 0.0)
-    return SpectralField(grid, data.astype(complex))
 
 
 # ----------------------------------------------------------------- support
@@ -203,11 +200,37 @@ def test_scan_guards(grid1):
         helicity_vanishing_scan(wave, 17.0)
 
 
+def _hand_built_scans(field, window):
+    peak = peak_magnitude(to_position(field))
+    return [helicity_vanishing_scan(part, window, reference_peak=peak)
+            for part in helicity_parts(strip_zero_mode(field))]
+
+
+def _assert_same_reports(got, expected):
+    assert len(got) == len(expected) == 2
+    for a, b in zip(got, expected):
+        assert dataclasses.astuple(a) == dataclasses.astuple(b)
+
+
+def test_helicity_scans_match_the_hand_built_pair_on_the_figure_states():
+    figset = figure2_report(Grid(1, 16.0, 1024), 1.0)
+    for state in figset.states.values():
+        _assert_same_reports(helicity_scans(state.field, 0.1),
+                             _hand_built_scans(state.field, 0.1))
+
+
+def test_helicity_scans_match_the_hand_built_pair_in_3d(grid3, rng):
+    field = random_band_limited(grid3, rng, transverse=True)
+    window = 5.0 * grid3.spacing
+    _assert_same_reports(helicity_scans(field, window),
+                         _hand_built_scans(field, window))
+
+
 # -------------------------------------------------------- vector potential
 
 def test_vector_potential_construction(grid1):
     region = DetectorVolume.interval(-0.6, 0.6)
-    c = vector_potential_localized_state(_odd_profile(grid1), region)
+    c = vector_potential_localized_state(odd_pulse_profile(grid1, 1.0), region)
     assert c.recovery_deviation < 1e-10
     assert c.state.norm == pytest.approx(1.0, rel=1e-12)
     assert abs(c.support.radii[0] - 0.5) <= 2.0 * grid1.spacing
@@ -223,7 +246,7 @@ def test_vector_potential_mean_loss_is_reported(grid1):
 
 
 def test_vector_potential_guards(grid1):
-    xi = _odd_profile(grid1)
+    xi = odd_pulse_profile(grid1, 1.0)
     with pytest.raises(SupportError):
         vector_potential_localized_state(xi, DetectorVolume.interval(-0.3, 0.3))
     zero = SpectralField(grid1, np.zeros(grid1.n, dtype=complex))

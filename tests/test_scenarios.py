@@ -3,7 +3,8 @@ import pytest
 
 from photonloc import (BBState, Grid, LPState, figure2_report, l2_norm,
                        make_bb_compact, make_lp_compact, make_lp_extended,
-                       sin2_profile, state_curves, to_position, total_energy)
+                       odd_pulse_profile, sin2_profile, state_curves,
+                       to_position, total_energy)
 from photonloc.errors import ProfileTooWideError
 
 GRID = Grid(1, 16.0, 2048)
@@ -33,6 +34,22 @@ def test_profile_scales_with_pulse_length(grid1):
     assert np.max(supp2) <= 1.0
     assert np.max(supp2) > 0.9
     assert np.max(np.abs(p1.data)) > np.max(np.abs(p2.data))
+
+
+def test_odd_pulse_profile_keeps_the_bytes_of_its_former_copies():
+    grid = Grid(1, 16.0, 4096)
+    x = grid.axis
+    # the vector-potential suite's expression, at l = 1
+    suite = np.where(np.abs(x) <= 0.5,
+                     np.sin(2.0 * np.pi * x) * np.cos(np.pi * x) ** 2, 0.0)
+    # the locality command's expression, at l = 0.8
+    pulse, half = 0.8, 0.5 * 0.8
+    command = np.where(np.abs(x) <= half,
+                       np.sin(2.0 * np.pi * x / pulse)
+                       * np.cos(np.pi * x / pulse) ** 2, 0.0)
+    for length, expected in ((1.0, suite), (pulse, command)):
+        got = odd_pulse_profile(grid, length).data
+        assert got.tobytes() == expected.astype(np.complex128).tobytes()
 
 
 def test_profile_validation(grid1):

@@ -8,6 +8,7 @@ from photonloc import (BBState, Grid, LPState, SpectralField, load_state,
                        read_csv, save_state, to_position, write_csv,
                        write_json)
 from photonloc.errors import SchemaError
+from photonloc.serialization import jsonable
 from photonloc.units import UnitsConfig
 
 from test_states import _random_em
@@ -171,3 +172,11 @@ def test_write_json_deterministic(tmp_path):
     assert loaded["a"] == {"im": 2.0, "re": 1.0}
     assert loaded["b"] == 2.5
     assert loaded["c"] == [3, None]
+
+
+def test_jsonable_converts_numpy_scalars_and_rejects_other_types():
+    assert jsonable(np.bool_(True)) is True
+    assert jsonable(np.float32(0.5)) == 0.5
+    for bad in ({1, 2}, object()):
+        with pytest.raises(TypeError):
+            jsonable(bad)

@@ -5,9 +5,8 @@ from photonloc import (FREQUENCY, BBState, EMFields, Grid, LPState,
                        PhotonState, SpectralField, bb_from_em, bb_from_lp,
                        bb_inner, evolve, helicity_parts, l2_norm,
                        load_state, lp_from_bb, lp_from_potentials, lp_inner,
-                       normalize, omega, plane_wave, save_state,
-                       riemann_silberstein_vector, state_magnitude,
-                       strip_zero_mode, to_frequency, to_position,
+                       magnitude, normalize, omega, plane_wave, save_state,
+                       riemann_silberstein_vector, strip_zero_mode, to_frequency, to_position,
                        transverse_project)
 from photonloc.errors import (GridMismatchError, TransversalityError,
                               ZeroModeError, ZeroStateError)
@@ -60,7 +59,7 @@ def test_zero_fields_give_zero_state(grid1_small):
     zero = SpectralField(grid1_small, np.zeros(grid1_small.n, dtype=complex))
     state = lp_from_potentials(EMFields(zero, zero))
     assert state.norm == 0.0
-    assert np.max(state_magnitude(state)) == 0.0
+    assert np.max(magnitude(to_position(state.field))) == 0.0
 
 
 def test_emfields_validation(grid1_small, grid1):
@@ -125,6 +124,13 @@ def test_non_finite_norm_rejected(grid1_small, cls, bad):
     # an operator output is flagged transverse and never measured
     with pytest.raises(ValueError, match="finite"):
         cls(bad * plane_wave(Grid(3, 8.0, 8), (1, 0, 0), 1))
+
+
+@pytest.mark.parametrize("cls", [LPState, BBState])
+def test_units_must_be_a_units_config(grid1_small, rng, cls):
+    field = SpectralField(grid1_small, np.exp(-grid1_small.axis ** 2))
+    with pytest.raises(TypeError, match="UnitsConfig"):
+        cls(field, rng)
 
 
 # ------------------------------------------------------------- isomorphism
