@@ -100,9 +100,10 @@ def band_limit(grid: Grid) -> float:
 def random_band_limited(grid: Grid, rng, transverse: bool = False) -> SpectralField:
     """Zero-mean complex field with white spectrum below the band limit."""
     shape = grid.field_shape
-    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    mask = (grid.k_magnitude > 0.0) & (grid.k_magnitude <= band_limit(grid))
-    data = data * mask
+    data = np.empty(shape, np.complex128)
+    data.real = rng.standard_normal(shape)
+    data.imag = rng.standard_normal(shape)
+    data *= (grid.k_magnitude > 0.0) & (grid.k_magnitude <= band_limit(grid))
     f = SpectralField(grid, data, FREQUENCY)
     if transverse and grid.dim == 3:
         f = transverse_project(f)

@@ -21,10 +21,25 @@ Each transform allocates one complex array of the field's shape and never
 writes its input: every FFT axis pass writes into that array, and the phase
 and scale factors are applied to it in place.  (The forward weight, scale
 times phase, is one real temporary of the spatial shape.)
+
+A 3d transform runs as two axis passes on two cores.  Pass A is a 2d FFT over
+the last two axes of each of the 3n leading (component, x) planes; pass B is
+a 1d FFT along x, the first spatial axis, of every line.  Each pass is cut
+into two halves of independent lines, and the caller runs one half while one
+helper thread runs the other.  The inverse applies its phase inside the
+pass-A halves and its scale inside the pass-B halves; the forward applies
+scale times phase inside its pass-B halves.  Every line meets the same 1d
+kernel and the same elementwise products as in a single ``fftn`` over all
+three axes, which also runs the last axis first, so the output is the same
+to the bit.  The helper is made on the first 3d transform, only where more
+than one CPU is usable, and anew in a process forked after it was made; on
+one CPU the caller runs both halves.  It runs numpy calls only.  1d
+transforms run on the caller.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,8 +188,57 @@ def require_transverse(field: SpectralField, message: str):
     field.transverse = True
 
 
-def _spatial_axes(grid: Grid) -> tuple:
-    return tuple(range(-grid.dim, 0))
+# (pid, executor) of the helper thread that shares 3d transforms, or None
+# until the first one; the executor is None where one CPU is usable.
+_helper = None
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):      # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _helper_pool():
+    """The helper's executor, made on first use in this process: a child
+    forked after the parent made one inherits an executor whose thread does
+    not exist there, and would wait on it forever.
+
+    There is no lock: a child forked while another thread held it would
+    wait forever.  Two threads making their first 3d transforms at once may
+    each make an executor; the one not kept serves its caller's transform
+    and is then collected, and its thread exits.
+    """
+    global _helper
+    helper = _helper
+    if helper is None or helper[0] != os.getpid():
+        pool = None
+        if _usable_cpus() > 1:
+            from concurrent.futures import ThreadPoolExecutor
+            pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="photonloc-fft")
+        helper = _helper = (os.getpid(), pool)
+    return helper[1]
+
+
+def _on_both_cores(half, count: int):
+    """Run half(lo, hi) over [0, count//2) on the helper and over
+    [count//2, count) on the caller; return when both are done."""
+    mid = count // 2
+    pool = _helper_pool()
+    if pool is None:
+        half(0, mid)
+        half(mid, count)
+        return
+    first = pool.submit(half, 0, mid)
+    try:
+        half(mid, count)
+    finally:
+        first.result()
+
+
+def _planes(data: np.ndarray) -> np.ndarray:
+    """A (3, n, n, n) array as its 3n leading planes, shape (3n, n, n)."""
+    return data.reshape((-1,) + data.shape[-2:])
 
 
 def forward_transform(field: SpectralField) -> SpectralField:
@@ -183,9 +247,24 @@ def forward_transform(field: SpectralField) -> SpectralField:
         raise DomainError("forward_transform expects a position-domain field")
     g = field.grid
     scale = g.cell_volume * (2.0 * np.pi) ** (-0.5 * g.dim)
-    data = np.fft.fftn(field.data, axes=_spatial_axes(g),
-                       out=np.empty(field.data.shape, np.complex128))
-    data *= scale * g.alternating_phase
+    data = np.empty(field.data.shape, np.complex128)
+    weight = scale * g.alternating_phase
+    if g.dim == 1:
+        np.fft.fft(field.data, out=data)
+        data *= weight
+        return _trusted(g, data, FREQUENCY, field.transverse)
+    src, dst = _planes(field.data), _planes(data)
+
+    def pass_a(lo, hi):
+        np.fft.fftn(src[lo:hi], axes=(-2, -1), out=dst[lo:hi])
+
+    def pass_b(lo, hi):
+        lines = data[:, :, lo:hi]
+        np.fft.fft(lines, axis=-3, out=lines)
+        lines *= weight[:, lo:hi]
+
+    _on_both_cores(pass_a, len(dst))
+    _on_both_cores(pass_b, g.n)
     return _trusted(g, data, FREQUENCY, field.transverse)
 
 
@@ -195,9 +274,27 @@ def inverse_transform(field: SpectralField) -> SpectralField:
         raise DomainError("inverse_transform expects a frequency-domain field")
     g = field.grid
     scale = g.k_cell_volume * (2.0 * np.pi) ** (-0.5 * g.dim) * float(g.n) ** g.dim
-    data = g.alternating_phase * field.data
-    np.fft.ifftn(data, axes=_spatial_axes(g), out=data)
-    data *= scale
+    if g.dim == 1:
+        data = g.alternating_phase * field.data
+        np.fft.ifft(data, out=data)
+        data *= scale
+        return _trusted(g, data, POSITION, field.transverse)
+    data = np.empty(field.data.shape, np.complex128)
+    src, dst, phase, n = _planes(field.data), _planes(data), g.alternating_phase, g.n
+
+    def pass_a(lo, hi):
+        for c in range(lo // n, -(-hi // n)):   # the phase, one component at a time
+            a, b = max(lo, c * n), min(hi, (c + 1) * n)
+            np.multiply(phase[a - c * n:b - c * n], src[a:b], out=dst[a:b])
+        np.fft.ifftn(dst[lo:hi], axes=(-2, -1), out=dst[lo:hi])
+
+    def pass_b(lo, hi):
+        lines = data[:, :, lo:hi]
+        np.fft.ifft(lines, axis=-3, out=lines)
+        lines *= scale
+
+    _on_both_cores(pass_a, len(dst))
+    _on_both_cores(pass_b, n)
     return _trusted(g, data, POSITION, field.transverse)
 
 

@@ -159,12 +159,17 @@ def helicity_apply(field: SpectralField) -> SpectralField:
 
 
 def _helicity_parts(field: SpectralField, signs) -> tuple:
-    """(1 + sign*L)/2 applied to the field for each sign, from one L.v."""
+    """(1 + sign*L)/2 applied to the field for each sign, from one L.v: the
+    sum or difference of v and L.v in one fresh array, halved in place."""
     f = to_frequency(field)
     lam = helicity_apply(f)
     transverse = lam.transverse or field.transverse
-    return tuple(_same_domain(field, 0.5 * (f.data + sign * lam.data), transverse)
-                 for sign in signs)
+    parts = []
+    for sign in signs:
+        part = (np.add if sign > 0 else np.subtract)(f.data, lam.data)
+        part *= 0.5
+        parts.append(_same_domain(field, part, transverse))
+    return tuple(parts)
 
 
 def helicity_project(field: SpectralField, sign: int) -> SpectralField:

@@ -37,6 +37,18 @@ def test_random_band_limited_properties(grid1, grid3, rng):
     assert zero_mode_amplitude(to_frequency(g)) == 0.0
 
 
+@pytest.mark.parametrize("g", [Grid(1, 16.0, 2048), Grid(3, 8.0, 16), Grid(3, 5.0, 6)],
+                         ids=repr)
+def test_random_band_limited_keeps_the_bytes_of_the_three_temporary_draw(g):
+    # The masked modes hold zeros of both signs; they must keep them.
+    for seed in range(3):
+        draw = np.random.default_rng(seed)
+        old = draw.standard_normal(g.field_shape) + 1j * draw.standard_normal(g.field_shape)
+        old = old * ((g.k_magnitude > 0.0) & (g.k_magnitude <= band_limit(g)))
+        new = random_band_limited(g, np.random.default_rng(seed)).data
+        assert new.tobytes() == old.tobytes()
+
+
 def test_random_real_smooth_is_real_zero_mean(grid1, rng):
     f = to_position(random_real_smooth(grid1, rng))
     assert np.max(np.abs(f.data.imag)) == 0.0

@@ -142,6 +142,21 @@ def test_helicity_parts_equal_two_projections(grid1_small, grid3, rng, dim, doma
         assert np.array_equal(part.data, ref.data)
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+def test_helicity_parts_keep_the_values_of_the_three_temporary_expression(
+        grid1_small, grid3, rng, dim):
+    # v + L.v and v - L.v replace v + (+-1)*L.v: every nonzero entry keeps
+    # its bytes; an exact zero (a masked mode) may carry the other sign.
+    f = random_band_limited(grid1_small if dim == 1 else grid3, rng, transverse=True)
+    lam = helicity_apply(f)
+    for part, sign in zip(helicity_parts(f), (+1, -1)):
+        old = 0.5 * (f.data + sign * lam.data)
+        assert np.array_equal(part.data, old)
+        nonzero = old != 0.0
+        assert nonzero.any()
+        assert part.data[nonzero].tobytes() == old[nonzero].tobytes()
+
+
 def test_transverse_flag_is_checked_where_set_and_kept_by_operators(grid3, rng):
     f = _random_transverse(grid3, rng)
     assert f.transverse

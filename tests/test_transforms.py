@@ -1,7 +1,18 @@
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from photonloc import (FREQUENCY, POSITION, Grid, SpectralField,
+import photonloc
+from photonloc import (FREQUENCY, POSITION, Grid, SpectralField, fields,
                        forward_transform, inverse_transform, l2_inner,
                        l2_norm, strip_zero_mode, to_frequency, to_position,
                        zero_mode_amplitude)
@@ -121,8 +132,10 @@ def test_shape_validation():
 
 # --- transform contract: one fresh array, the input untouched ---------------
 
+# Grid(3, 4.0, 2) is the smallest lattice; Grid(3, 5.0, 6) splits its 18
+# leading planes and its 6 columns into halves of odd size.
 CONTRACT_GRIDS = [Grid(1, 16.0, 256), Grid(1, 3.7, 64), Grid(3, 8.0, 16),
-                  Grid(3, 2.5, 8)]
+                  Grid(3, 2.5, 8), Grid(3, 4.0, 2), Grid(3, 5.0, 6)]
 
 
 def _random_field_data(g, rng):
@@ -143,13 +156,44 @@ def _reference_inverse(g, data):
     return scale * np.fft.ifftn(g.alternating_phase * data, axes=axes)
 
 
+def _assert_same_bytes(a, b):
+    """Equal values and equal bytes: a flipped signed zero fails too."""
+    assert np.array_equal(a, b)
+    assert a.tobytes() == b.tobytes()
+
+
+def _with_signed_zeros(data):
+    """Random data with exact zeros of both signs: in 3d the last component
+    is all zeros, so its transform is all zeros whose signs come from the
+    arithmetic alone."""
+    data = data.copy()
+    data[-1] = complex(-0.0, 0.0)
+    data[..., 0] = complex(0.0, -0.0)
+    return data
+
+
 @pytest.mark.parametrize("g", CONTRACT_GRIDS, ids=repr)
 def test_transforms_match_the_out_of_place_expressions_bitwise(g, rng):
-    data = _random_field_data(g, rng)
-    ft = forward_transform(SpectralField(g, data))
-    assert np.array_equal(ft.data, _reference_forward(g, data))
-    back = inverse_transform(SpectralField(g, data, FREQUENCY))
-    assert np.array_equal(back.data, _reference_inverse(g, data))
+    for data in (_random_field_data(g, rng), _with_signed_zeros(_random_field_data(g, rng))):
+        ft = forward_transform(SpectralField(g, data))
+        _assert_same_bytes(ft.data, _reference_forward(g, data))
+        back = inverse_transform(SpectralField(g, data, FREQUENCY))
+        _assert_same_bytes(back.data, _reference_inverse(g, data))
+
+
+@pytest.mark.parametrize("g", [g for g in CONTRACT_GRIDS if g.dim == 3], ids=repr)
+def test_one_cpu_and_two_thread_paths_give_the_same_bytes(g, rng, monkeypatch):
+    data = _with_signed_zeros(_random_field_data(g, rng))
+    expected = (_reference_forward(g, data).tobytes(), _reference_inverse(g, data).tobytes())
+    pool = ThreadPoolExecutor(max_workers=1)
+    try:
+        for helper in (pool, None):      # two threads, then the caller alone
+            monkeypatch.setattr(fields, "_helper", (os.getpid(), helper))
+            got = (forward_transform(SpectralField(g, data)).data.tobytes(),
+                   inverse_transform(SpectralField(g, data, FREQUENCY)).data.tobytes())
+            assert got == expected
+    finally:
+        pool.shutdown()
 
 
 @pytest.mark.parametrize("g", CONTRACT_GRIDS, ids=repr)
@@ -176,6 +220,87 @@ def test_transform_output_is_a_fresh_writable_array(g, rng):
         assert out.data.shape == g.field_shape
         assert not np.shares_memory(out.data, data)
         assert not np.shares_memory(out.data, g.alternating_phase)
+
+
+# --- the helper thread: lazy, one at most, remade after a fork --------------
+
+def test_1d_transforms_start_no_thread_and_3d_ones_at_most_one():
+    script = (
+        "import sys, threading, numpy as np\n"
+        "from photonloc import FREQUENCY, Grid, SpectralField, forward_transform, inverse_transform\n"
+        "for g in (Grid(1, 16.0, 256), Grid(3, 8.0, 8)):\n"
+        "    f = SpectralField(g, np.ones(g.field_shape))\n"
+        "    inverse_transform(forward_transform(f))\n"
+        "    inverse_transform(SpectralField(g, np.ones(g.field_shape), FREQUENCY))\n"
+        "    print(threading.active_count(), 'concurrent.futures' in sys.modules)\n")
+    env = dict(os.environ)
+    src = str(Path(photonloc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout.split("\n")
+    assert out[0] == "1 False"             # after import and 1d transforms
+    count, _ = out[1].split()              # after 3d transforms
+    assert int(count) <= 2
+
+
+def test_concurrent_callers_get_the_bytes_of_one_thread(rng, monkeypatch):
+    # More callers than cores, a short switch interval, and a helper made by
+    # whichever caller comes first: every output keeps its bytes.
+    g = Grid(3, 8.0, 16)
+    data = _with_signed_zeros(_random_field_data(g, rng))
+    expected = (_reference_forward(g, data).tobytes(), _reference_inverse(g, data).tobytes())
+    monkeypatch.setattr(fields, "_helper", None)
+    results = []
+
+    def caller():
+        for _ in range(20):
+            results.append((forward_transform(SpectralField(g, data)).data.tobytes(),
+                            inverse_transform(SpectralField(g, data, FREQUENCY)).data.tobytes()))
+
+    threads = [threading.Thread(target=caller) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 80
+    assert all(r == expected for r in results)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_makes_its_own_helper(rng, monkeypatch):
+    g = Grid(3, 5.0, 6)
+    data = _random_field_data(g, rng)
+    expected = _reference_forward(g, data).tobytes()
+    pool = ThreadPoolExecutor(max_workers=1)
+    monkeypatch.setattr(fields, "_helper", (os.getpid(), pool))
+    try:
+        forward_transform(SpectralField(g, data))     # the helper's thread is running
+        with warnings.catch_warnings():               # fork of a threaded process
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                same = forward_transform(SpectralField(g, data)).data.tobytes() == expected
+                code = 0 if same else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's transform did not finish in 60 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+    finally:
+        pool.shutdown()
 
 
 # --- direct O(n^2) DFT oracle ------------------------------------------------
