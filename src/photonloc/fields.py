@@ -17,29 +17,27 @@ Scalar (one-dimensional) fields have data shape (n,), vector fields on a
 three-dimensional grid have shape (3, n, n, n).  Frequency data is stored
 in FFT order, zero mode first.
 
-Each transform allocates one complex array of the field's shape and never
-writes its input: every FFT axis pass writes into that array, and the phase
-and scale factors are applied to it in place.  (The forward weight, scale
-times phase, is one real temporary of the spatial shape.)
+Each transform allocates one complex array of the field's shape, never
+writes its input, and applies its phase and scale factors in place (the
+forward weight, scale times phase, is one real temporary).
 
-A 3d transform runs as two axis passes on two cores.  Pass A is a 2d FFT over
-the last two axes of each of the 3n leading (component, x) planes; pass B is
-a 1d FFT along x, the first spatial axis, of every line.  Each pass is cut
-into two halves of independent lines, and the caller runs one half while one
-helper thread runs the other.  The inverse applies its phase inside the
-pass-A halves and its scale inside the pass-B halves; the forward applies
-scale times phase inside its pass-B halves.  Every line meets the same 1d
-kernel and the same elementwise products as in a single ``fftn`` over all
-three axes, which also runs the last axis first, so the output is the same
-to the bit.  The helper is made on the first 3d transform, only where more
-than one CPU is usable, and anew in a process forked after it was made; on
-one CPU the caller runs both halves.  It runs numpy calls only.  1d
-transforms run on the caller.
+A 3d transform runs as two axis passes: pass A, a 2d FFT over the last two
+axes of every (component, x) plane, split at x = n/2, and pass B, a 1d FFT
+along x of every line, split at y = n/2.  One helper thread, started and
+joined inside the pass, runs the first half while the caller runs the
+second.  The inverse applies its phase inside the pass-A halves and its
+scale inside the pass-B halves; the forward applies scale times phase inside
+its pass-B halves.  Every line meets the same 1d kernel and the same
+elementwise products as one ``fftn`` over all three axes, which also runs
+the last axis first, so the output is the same to the bit.  With one usable
+CPU, or n below _SPLIT_MIN_N, the caller runs each pass whole, as it does
+every 1d transform.  The helper runs numpy calls only.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,57 +186,38 @@ def require_transverse(field: SpectralField, message: str):
     field.transverse = True
 
 
-# (pid, executor) of the helper thread that shares 3d transforms, or None
-# until the first one; the executor is None where one CPU is usable.
-_helper = None
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):      # not on every platform
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _helper_pool():
-    """The helper's executor, made on first use in this process: a child
-    forked after the parent made one inherits an executor whose thread does
-    not exist there, and would wait on it forever.
-
-    There is no lock: a child forked while another thread held it would
-    wait forever.  Two threads making their first 3d transforms at once may
-    each make an executor; the one not kept serves its caller's transform
-    and is then collected, and its thread exits.
-    """
-    global _helper
-    helper = _helper
-    if helper is None or helper[0] != os.getpid():
-        pool = None
-        if _usable_cpus() > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="photonloc-fft")
-        helper = _helper = (os.getpid(), pool)
-    return helper[1]
+_SPLIT_MIN_N = 32      # below it, starting a thread costs more than it saves
 
 
 def _on_both_cores(half, count: int):
-    """Run half(lo, hi) over [0, count//2) on the helper and over
-    [count//2, count) on the caller; return when both are done."""
-    mid = count // 2
-    pool = _helper_pool()
-    if pool is None:
-        half(0, mid)
-        half(mid, count)
+    """Run half(lo, hi) over [0, count//2) on a helper thread and over
+    [count//2, count) on the caller; raise here what the helper's half raised.
+    With one usable CPU or count < _SPLIT_MIN_N, run half(0, count) alone."""
+    if count < _SPLIT_MIN_N or _usable_cpus() < 2:
+        half(0, count)
         return
-    first = pool.submit(half, 0, mid)
+    failed = []
+
+    def first():
+        try:
+            half(0, count // 2)
+        except BaseException as exc:      # raised again on the caller
+            failed.append(exc)
+
+    helper = threading.Thread(target=first, name="photonloc-fft")
+    helper.start()
     try:
-        half(mid, count)
+        half(count // 2, count)
     finally:
-        first.result()
-
-
-def _planes(data: np.ndarray) -> np.ndarray:
-    """A (3, n, n, n) array as its 3n leading planes, shape (3n, n, n)."""
-    return data.reshape((-1,) + data.shape[-2:])
+        helper.join()
+    if failed:
+        raise failed[0]
 
 
 def forward_transform(field: SpectralField) -> SpectralField:
@@ -247,23 +226,22 @@ def forward_transform(field: SpectralField) -> SpectralField:
         raise DomainError("forward_transform expects a position-domain field")
     g = field.grid
     scale = g.cell_volume * (2.0 * np.pi) ** (-0.5 * g.dim)
-    data = np.empty(field.data.shape, np.complex128)
+    src, data = field.data, np.empty(field.data.shape, np.complex128)
     weight = scale * g.alternating_phase
     if g.dim == 1:
-        np.fft.fft(field.data, out=data)
+        np.fft.fft(src, out=data)
         data *= weight
         return _trusted(g, data, FREQUENCY, field.transverse)
-    src, dst = _planes(field.data), _planes(data)
 
     def pass_a(lo, hi):
-        np.fft.fftn(src[lo:hi], axes=(-2, -1), out=dst[lo:hi])
+        np.fft.fftn(src[:, lo:hi], axes=(-2, -1), out=data[:, lo:hi])
 
     def pass_b(lo, hi):
         lines = data[:, :, lo:hi]
         np.fft.fft(lines, axis=-3, out=lines)
         lines *= weight[:, lo:hi]
 
-    _on_both_cores(pass_a, len(dst))
+    _on_both_cores(pass_a, g.n)
     _on_both_cores(pass_b, g.n)
     return _trusted(g, data, FREQUENCY, field.transverse)
 
@@ -279,22 +257,21 @@ def inverse_transform(field: SpectralField) -> SpectralField:
         np.fft.ifft(data, out=data)
         data *= scale
         return _trusted(g, data, POSITION, field.transverse)
-    data = np.empty(field.data.shape, np.complex128)
-    src, dst, phase, n = _planes(field.data), _planes(data), g.alternating_phase, g.n
+    src, data = field.data, np.empty(field.data.shape, np.complex128)
+    phase = g.alternating_phase
 
     def pass_a(lo, hi):
-        for c in range(lo // n, -(-hi // n)):   # the phase, one component at a time
-            a, b = max(lo, c * n), min(hi, (c + 1) * n)
-            np.multiply(phase[a - c * n:b - c * n], src[a:b], out=dst[a:b])
-        np.fft.ifftn(dst[lo:hi], axes=(-2, -1), out=dst[lo:hi])
+        planes = data[:, lo:hi]
+        np.multiply(phase[lo:hi], src[:, lo:hi], out=planes)
+        np.fft.ifftn(planes, axes=(-2, -1), out=planes)
 
     def pass_b(lo, hi):
         lines = data[:, :, lo:hi]
         np.fft.ifft(lines, axis=-3, out=lines)
         lines *= scale
 
-    _on_both_cores(pass_a, len(dst))
-    _on_both_cores(pass_b, n)
+    _on_both_cores(pass_a, g.n)
+    _on_both_cores(pass_b, g.n)
     return _trusted(g, data, POSITION, field.transverse)
 
 

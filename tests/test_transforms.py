@@ -5,7 +5,6 @@ import sys
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -132,8 +131,8 @@ def test_shape_validation():
 
 # --- transform contract: one fresh array, the input untouched ---------------
 
-# Grid(3, 4.0, 2) is the smallest lattice; Grid(3, 5.0, 6) splits its 18
-# leading planes and its 6 columns into halves of odd size.
+# Grid(3, 4.0, 2) is the smallest lattice; Grid(3, 5.0, 6) splits its 6
+# planes and its 6 columns into halves of odd size.
 CONTRACT_GRIDS = [Grid(1, 16.0, 256), Grid(1, 3.7, 64), Grid(3, 8.0, 16),
                   Grid(3, 2.5, 8), Grid(3, 4.0, 2), Grid(3, 5.0, 6)]
 
@@ -181,19 +180,21 @@ def test_transforms_match_the_out_of_place_expressions_bitwise(g, rng):
         _assert_same_bytes(back.data, _reference_inverse(g, data))
 
 
+def _split_every_pass(monkeypatch, cpus=2):
+    """Two usable CPUs split every pass, however short; one runs it whole."""
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(fields, "_SPLIT_MIN_N", 1)
+
+
 @pytest.mark.parametrize("g", [g for g in CONTRACT_GRIDS if g.dim == 3], ids=repr)
 def test_one_cpu_and_two_thread_paths_give_the_same_bytes(g, rng, monkeypatch):
     data = _with_signed_zeros(_random_field_data(g, rng))
     expected = (_reference_forward(g, data).tobytes(), _reference_inverse(g, data).tobytes())
-    pool = ThreadPoolExecutor(max_workers=1)
-    try:
-        for helper in (pool, None):      # two threads, then the caller alone
-            monkeypatch.setattr(fields, "_helper", (os.getpid(), helper))
-            got = (forward_transform(SpectralField(g, data)).data.tobytes(),
-                   inverse_transform(SpectralField(g, data, FREQUENCY)).data.tobytes())
-            assert got == expected
-    finally:
-        pool.shutdown()
+    for cpus in (2, 1):                  # two threads, then the caller alone
+        _split_every_pass(monkeypatch, cpus)
+        got = (forward_transform(SpectralField(g, data)).data.tobytes(),
+               inverse_transform(SpectralField(g, data, FREQUENCY)).data.tobytes())
+        assert got == expected
 
 
 @pytest.mark.parametrize("g", CONTRACT_GRIDS, ids=repr)
@@ -222,34 +223,64 @@ def test_transform_output_is_a_fresh_writable_array(g, rng):
         assert not np.shares_memory(out.data, g.alternating_phase)
 
 
-# --- the helper thread: lazy, one at most, remade after a fork --------------
+# --- the helper thread: one per pass, gone when the transform returns -------
 
-def test_1d_transforms_start_no_thread_and_3d_ones_at_most_one():
+def test_1d_transforms_start_no_thread_and_3d_ones_leave_none():
+    # The 3d transforms split every pass, whatever the host's CPU count, and
+    # the script counts the threads they start.
     script = (
         "import sys, threading, numpy as np\n"
-        "from photonloc import FREQUENCY, Grid, SpectralField, forward_transform, inverse_transform\n"
+        "from photonloc import FREQUENCY, Grid, SpectralField, fields\n"
+        "from photonloc import forward_transform, inverse_transform\n"
+        "fields._usable_cpus, fields._SPLIT_MIN_N = (lambda: 2), 1\n"
+        "started, start = [], threading.Thread.start\n"
+        "threading.Thread.start = lambda t: (started.append(t), start(t))\n"
         "for g in (Grid(1, 16.0, 256), Grid(3, 8.0, 8)):\n"
         "    f = SpectralField(g, np.ones(g.field_shape))\n"
         "    inverse_transform(forward_transform(f))\n"
         "    inverse_transform(SpectralField(g, np.ones(g.field_shape), FREQUENCY))\n"
-        "    print(threading.active_count(), 'concurrent.futures' in sys.modules)\n")
+        "    print(len(started), threading.active_count(), 'concurrent.futures' in sys.modules)\n")
     env = dict(os.environ)
     src = str(Path(photonloc.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout.split("\n")
-    assert out[0] == "1 False"             # after import and 1d transforms
-    count, _ = out[1].split()              # after 3d transforms
-    assert int(count) <= 2
+    assert out[:2] == ["0 1 False", "6 1 False"]   # after 1d, then after 3d transforms
+
+
+def test_short_passes_run_whole_on_the_caller(monkeypatch):
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 2)
+    n = fields._SPLIT_MIN_N
+    for count, halves in ((n - 1, [(0, n - 1)]), (n, [(0, n // 2), (n // 2, n)])):
+        ran = []
+        fields._on_both_cores(lambda lo, hi: ran.append((lo, hi, threading.get_ident())), count)
+        assert sorted(r[:2] for r in ran) == halves
+        assert len({r[2] for r in ran}) == len(halves)     # one thread per half
+
+
+def test_a_failure_in_the_helpers_half_reaches_the_caller(monkeypatch):
+    _split_every_pass(monkeypatch)
+    ran = []
+
+    def half(lo, hi):
+        if lo == 0:
+            raise ArithmeticError("first half")
+        ran.append((lo, hi))
+
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="first half"):
+        fields._on_both_cores(half, 6)
+    assert ran == [(3, 6)]
+    assert threading.active_count() == before
 
 
 def test_concurrent_callers_get_the_bytes_of_one_thread(rng, monkeypatch):
-    # More callers than cores, a short switch interval, and a helper made by
-    # whichever caller comes first: every output keeps its bytes.
+    # More callers than cores, each splitting its passes, and a short switch
+    # interval: every output keeps its bytes.
+    _split_every_pass(monkeypatch)
     g = Grid(3, 8.0, 16)
     data = _with_signed_zeros(_random_field_data(g, rng))
     expected = (_reference_forward(g, data).tobytes(), _reference_inverse(g, data).tobytes())
-    monkeypatch.setattr(fields, "_helper", None)
     results = []
 
     def caller():
@@ -273,34 +304,30 @@ def test_concurrent_callers_get_the_bytes_of_one_thread(rng, monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_a_forked_child_makes_its_own_helper(rng, monkeypatch):
+def test_a_forked_child_transforms_bit_for_bit(rng, monkeypatch):
     g = Grid(3, 5.0, 6)
     data = _random_field_data(g, rng)
     expected = _reference_forward(g, data).tobytes()
-    pool = ThreadPoolExecutor(max_workers=1)
-    monkeypatch.setattr(fields, "_helper", (os.getpid(), pool))
-    try:
-        forward_transform(SpectralField(g, data))     # the helper's thread is running
-        with warnings.catch_warnings():               # fork of a threaded process
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                same = forward_transform(SpectralField(g, data)).data.tobytes() == expected
-                code = 0 if same else 2
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 60.0
-        while not (done := os.waitpid(pid, os.WNOHANG))[0]:
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                pytest.fail("the forked child's transform did not finish in 60 s")
-            time.sleep(0.01)
-        assert os.waitstatus_to_exitcode(done[1]) == 0
-    finally:
-        pool.shutdown()
+    _split_every_pass(monkeypatch)
+    forward_transform(SpectralField(g, data))     # the parent has run helpers
+    with warnings.catch_warnings():    # fork warns while any other thread runs
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            same = forward_transform(SpectralField(g, data)).data.tobytes() == expected
+            code = 0 if same else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's transform did not finish in 60 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 # --- direct O(n^2) DFT oracle ------------------------------------------------
