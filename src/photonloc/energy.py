@@ -10,10 +10,18 @@ where (+-) are the helicity parts.  The two lines are the same quantity
 computed through the LP and BB layers; both are evaluated and their maximum
 relative deviation is kept as a cross-check diagnostic.
 
+Both lines are Fourier multipliers up to the final |.|**2, so both are
+computed from one frequency image of the state's field: the other
+representation's image, the helicity parts and W**(1/2) all act there, and
+each part goes to position once.  An LP state's F is formed in the state's
+own domain before it is split, so for a position-domain state the values
+are, bit for bit, those of the position-domain field F.
+
 When a BB field carries a zero-frequency (mean) component, the LP image is
 only defined with that mode dropped; the diagnostic then compares the two
-paths on the common zero-mean content, while the returned values use the
-full field (the BB expression is pointwise exact for it).
+paths on the common zero-mean content (each helicity part of F with its
+zero mode stripped), while the returned values use the full field (the BB
+expression is pointwise exact for it).
 """
 
 from __future__ import annotations
@@ -25,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProbeCellError, VolumeOutOfDomainError
-from .fields import magnitude, strip_zero_mode, to_position
+from .fields import magnitude, strip_zero_mode, to_frequency, to_position
 from .grid import Grid
 from .operators import apply_frequency_power, helicity_parts
-from .states import PhotonState, representation_images
+from .states import PhotonState, _bb_field, _lp_field
 
 
 @dataclass(eq=False)
@@ -52,21 +60,30 @@ def _quadrance(parts) -> np.ndarray:
 
 
 def energy_density(state) -> EnergyDensityMap:
-    """Expectation value of the energy density, computed along both paths."""
+    """Expectation value of the energy density, computed along both paths
+    from one frequency image of the state's field."""
     if not isinstance(state, PhotonState):
         raise TypeError(f"expected LPState or BBState, got {type(state).__name__}")
-    psi, f_full = representation_images(state)
-    f_ref = f_full if state.representation == "lp" else strip_zero_mode(f_full)
-
     u = state.units
+    own = to_frequency(state.field)
+    if state.representation == "lp":
+        psi_hat, f_hat = own, to_frequency(_bb_field(own, u, state.field.domain))
+    else:
+        psi_hat, f_hat = _lp_field(own, u, zero_mode="drop"), own
+    f_parts = helicity_parts(f_hat)
+    del own, f_hat      # frees F's frequency image; only its parts are needed
+    values = _quadrance(f_parts)
+    if state.representation == "lp":
+        ref = values
+    else:
+        ref = _quadrance(strip_zero_mode(p) for p in f_parts)
+    del f_parts
     lp_vals = u.hbar * _quadrance(apply_frequency_power(p, 0.5, u)
-                                  for p in helicity_parts(psi))
-    bb_vals = _quadrance(helicity_parts(f_full))
-    bb_ref = bb_vals if f_ref is f_full else _quadrance(helicity_parts(f_ref))
+                                  for p in helicity_parts(psi_hat))
 
-    scale = float(np.max(bb_ref))
-    disc = 0.0 if scale == 0.0 else float(np.max(np.abs(lp_vals - bb_ref))) / scale
-    return EnergyDensityMap(state.grid, bb_vals, disc)
+    scale = float(np.max(ref))
+    disc = 0.0 if scale == 0.0 else float(np.max(np.abs(lp_vals - ref))) / scale
+    return EnergyDensityMap(state.grid, values, disc)
 
 
 def total_energy(emap: EnergyDensityMap) -> float:

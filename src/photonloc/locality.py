@@ -5,7 +5,9 @@ has no compact support" into measured numbers: the effective support of a
 field at a threshold, the power-law or stretched-exponential character of
 an energy tail, a witness that a field and its frequency-weighted partner
 cannot both vanish on a region, and a scan showing that a helicity
-eigenfield has no vanishing window.
+eigenfield has no vanishing window.  The scan tests the eigenfield claim on
+the frequency image, where the helicity operator acts, and takes only
+|field| to position.
 
 All position-space tails on a periodic grid are eventually contaminated by
 periodic images, so every fit window is required to stay inside the inner
@@ -23,7 +25,7 @@ from .energy import DetectorVolume, EnergyDensityMap, volume_weights
 from .errors import (InsufficientWindowError, NotEigenfieldError, SupportError,
                      ZeroStateError)
 from .fields import (SpectralField, l2_norm, magnitude, peak_magnitude,
-                     strip_zero_mode, to_position)
+                     strip_zero_mode, to_frequency, to_position)
 from .operators import apply_frequency_power, helicity_apply, helicity_parts
 from .states import LPState, _check_physical_field, normalize
 from .units import NATURAL, UnitsConfig
@@ -94,27 +96,30 @@ class TailFit:
     n_points: int
 
 
-def _linear_fit(design: np.ndarray, target: np.ndarray):
+def _linear_fit(design: np.ndarray, target: np.ndarray, ss_tot: float):
+    """Least squares of target on the design's columns; ss_tot is the
+    target's sum of squared deviations from its mean."""
     coef, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
     resid = target - design @ coef
     ss_res = float(np.sum(resid ** 2))
-    ss_tot = float(np.sum((target - target.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / max(ss_tot, 1e-300)
     return coef, r2, ss_res
 
 
-def _fit_power(r: np.ndarray, logy: np.ndarray):
+def _fit_power(r: np.ndarray, logy: np.ndarray, ss_tot: float):
     design = np.column_stack([np.log(r), np.ones_like(r)])
-    coef, r2, _ = _linear_fit(design, logy)
+    coef, r2, _ = _linear_fit(design, logy, ss_tot)
     return {"exponent": float(coef[0]), "amplitude": float(np.exp(coef[1]))}, r2
 
 
-def _fit_stretched(r: np.ndarray, logy: np.ndarray):
-    """log y = log B - A r**gamma, gamma found by nested grid refinement."""
+def _fit_stretched(r: np.ndarray, logy: np.ndarray, ss_tot: float):
+    """log y = log B - A r**gamma, gamma found by nested grid refinement.
+    Every trial overwrites the first column of one design matrix."""
+    design = np.ones((r.size, 2))
+
     def trial(gamma):
-        design = np.column_stack([r ** gamma, np.ones_like(r)])
-        coef, r2, ss = _linear_fit(design, logy)
-        return coef, r2, ss
+        design[:, 0] = r ** gamma
+        return _linear_fit(design, logy, ss_tot)
 
     lo, hi, step = 0.1, 3.0, 0.05
     best = None
@@ -157,12 +162,13 @@ def tail_exponent_fit(emap: EnergyDensityMap, window: tuple,
         raise InsufficientWindowError(
             f"only {r.size} usable samples in [{r1}, {r2}]")
     logy = np.log(y)
+    ss_tot = float(np.sum((logy - logy.mean()) ** 2))
 
     fits = {}
     if model in ("auto", "power"):
-        fits["power"] = _fit_power(r, logy)
+        fits["power"] = _fit_power(r, logy, ss_tot)
     if model in ("auto", "stretched"):
-        fits["stretched"] = _fit_stretched(r, logy)
+        fits["stretched"] = _fit_stretched(r, logy, ss_tot)
     name = max(fits, key=lambda m: fits[m][1])
     params, r_squared = fits[name]
     return TailFit(name, params, float(r_squared), (r1, r2), int(r.size))
@@ -260,11 +266,12 @@ def helicity_vanishing_scan(field: SpectralField, window_size: float,
     if w > g.n:
         raise InsufficientWindowError("window exceeds the domain")
 
-    lam = helicity_apply(pos)
-    norm_v = l2_norm(pos)
+    f = to_frequency(field)
+    lam = helicity_apply(f)
+    norm_v = l2_norm(f)
     eigenvalue = 0
     for s in (1, -1):
-        if l2_norm(lam - float(s) * pos) <= 1e-8 * norm_v:
+        if l2_norm(lam - float(s) * f) <= 1e-8 * norm_v:
             eigenvalue = s
             break
     if eigenvalue == 0:

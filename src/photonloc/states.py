@@ -165,19 +165,28 @@ def lp_from_potentials(em: EMFields, units: UnitsConfig = NATURAL,
     return LPState(psi, units)
 
 
+def _bb_field(psi_hat: SpectralField, units: UnitsConfig, domain: str) -> SpectralField:
+    """F = i sqrt(hbar) W**(1/2) psi from psi's frequency image, returned in
+    ``domain``; the factor i sqrt(hbar) is applied last, in that domain."""
+    half = apply_frequency_power(psi_hat, 0.5, units)
+    return 1j * np.sqrt(units.hbar) * (half if domain == FREQUENCY else to_position(half))
+
+
+def _lp_field(f: SpectralField, units: UnitsConfig, zero_mode: str) -> SpectralField:
+    """psi = -i hbar**(-1/2) W**(-1/2) F, in F's domain."""
+    return (-1j / np.sqrt(units.hbar)) * apply_frequency_power(
+        f, -0.5, units, zero_mode=zero_mode)
+
+
 def bb_from_lp(state: LPState) -> BBState:
     """F = i sqrt(hbar) W**(1/2) psi."""
-    u = state.units
-    f = 1j * np.sqrt(u.hbar) * apply_frequency_power(state.psi, 0.5, u)
-    return BBState(f, u)
+    psi = state.psi
+    return BBState(_bb_field(to_frequency(psi), state.units, psi.domain), state.units)
 
 
 def lp_from_bb(state: BBState, zero_mode: str = "raise") -> LPState:
     """psi = -i hbar**(-1/2) W**(-1/2) F, inverse of the isomorphism."""
-    u = state.units
-    psi = (-1j / np.sqrt(u.hbar)) * apply_frequency_power(
-        state.f, -0.5, u, zero_mode=zero_mode)
-    return LPState(psi, u)
+    return LPState(_lp_field(state.f, state.units, zero_mode), state.units)
 
 
 def riemann_silberstein_vector(e: SpectralField, b: SpectralField,

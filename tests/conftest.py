@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from photonloc import Grid
+from photonloc import Grid, fields
 
 
 @pytest.fixture
@@ -30,3 +30,18 @@ def grid3():
 def grid_2pi():
     """1D grid whose wavevector lattice is the integers."""
     return Grid(1, 2.0 * np.pi, 128)
+
+
+@pytest.fixture
+def transform_counts(monkeypatch):
+    """Calls of fields.forward_transform and inverse_transform, through
+    which every to_frequency and to_position goes, as {"forward": n,
+    "inverse": n}; a test zeroes the counts before the call it counts."""
+    counts = {"forward": 0, "inverse": 0}
+    for kind in counts:
+        def counted(field, kind=kind, original=getattr(fields, f"{kind}_transform")):
+            counts[kind] += 1
+            return original(field)
+
+        monkeypatch.setattr(fields, f"{kind}_transform", counted)
+    return counts

@@ -19,7 +19,7 @@ import pytest
 
 from photonloc import run_all_checks, write_json
 
-REPORT_SHA256 = "f25b67bcba5d93daa21b370f14b53647ff879b9ecc423fb604d8650c667a5e50"
+REPORT_SHA256 = "9143cae6102f8710401724efc951b9cb64c420e1f1fc557673827fa9892b2c38"
 
 CRITERIA = [
     ("01", "operator-algebra"),

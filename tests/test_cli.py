@@ -10,7 +10,6 @@ import pytest
 import photonloc
 from photonloc import Grid, LPState, SpectralField, cli, save_state
 from photonloc.checks import SuiteResult, _at_most
-from photonloc.states import representation_images
 
 from test_golden import _state_3d  # noqa: E402
 
@@ -248,14 +247,16 @@ def test_locality_3d_box_source_wider_than_a_sixth_of_the_box(state_3d_file, tmp
 
 def test_energy_3d_builds_only_the_energy_map(state_3d_file, tmp_path, monkeypatch,
                                               capsys):
+    # _bb_field and _lp_field build the other representation's image, in
+    # energy_density and in states.representation_images alike.
     calls = []
+    for name in ("_bb_field", "_lp_field"):
+        def spy(*args, original=getattr(photonloc.states, name), **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
 
-    def spy(state):
-        calls.append(state)
-        return representation_images(state)
-
-    for module in (photonloc.energy, photonloc.scenarios):
-        monkeypatch.setattr(module, "representation_images", spy)
+        for module in (photonloc.energy, photonloc.states):
+            monkeypatch.setattr(module, name, spy)
     assert cli.main(["energy", str(state_3d_file), "--format", "json",
                      "--output-dir", str(tmp_path)]) == 0
     assert len(calls) == 1

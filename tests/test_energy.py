@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from photonloc import (BBState, DetectorVolume, EnergyDensityMap, Grid,
-                       LPState, SpectralField, detector_energy, energy_density,
-                       knight_locality_test, make_bb_compact, make_lp_compact,
-                       plane_wave, total_energy, volume_weights)
+                       LPState, SpectralField, apply_frequency_power,
+                       detector_energy, energy_density, helicity_parts,
+                       knight_locality_test, magnitude, make_bb_compact,
+                       make_lp_compact, plane_wave, to_frequency, to_position,
+                       total_energy, volume_weights)
 from photonloc.errors import VolumeOutOfDomainError
 from photonloc.units import UnitsConfig
 
+from test_golden import _state_3d  # noqa: E402
 from test_states import _random_em, _real_zero_mean  # noqa: E402
 from photonloc import lp_from_potentials
 
@@ -36,6 +39,41 @@ def test_scale_covariance(grid1, rng):
     scaled = energy_density(LPState(3j * state.psi))
     assert np.max(np.abs(scaled.values - 9.0 * base.values)) \
         < 1e-10 * np.max(base.values)
+
+
+def _states_in_both_domains():
+    grid = Grid(1, 16.0, 1024)
+    for name, state in (("lp-1d", make_lp_compact(grid, 1.0)),
+                        ("bb-1d", make_bb_compact(grid, 1.0)),
+                        ("lp-3d", _state_3d("lp")), ("bb-3d", _state_3d("bb"))):
+        yield pytest.param(state, id=f"{name}-position")
+        yield pytest.param(type(state)(to_frequency(state.field), state.units),
+                           id=f"{name}-frequency")
+
+
+@pytest.mark.parametrize("state", list(_states_in_both_domains()))
+def test_values_keep_the_bits_of_the_position_round_trip(state):
+    # The values as they were computed before energy_density worked from
+    # one frequency image: the BB image F = i sqrt(hbar) W**(1/2) psi in the
+    # state's own domain, split, and each part taken to position.
+    u = state.units
+    if state.representation == "lp":
+        f_full = 1j * np.sqrt(u.hbar) * apply_frequency_power(state.field, 0.5, u)
+    else:
+        f_full = state.field
+    plus, minus = (magnitude(to_position(p)) for p in helicity_parts(f_full))
+    expected = plus ** 2 + minus ** 2
+    assert energy_density(state).values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("representation", ["lp", "bb"])
+def test_energy_density_of_a_3d_position_state_makes_seven_transforms(
+        representation, transform_counts):
+    state = _state_3d(representation)
+    assert state.field.is_position
+    transform_counts.update(forward=0, inverse=0)
+    energy_density(state)
+    assert transform_counts["forward"] + transform_counts["inverse"] <= 7
 
 
 def test_two_path_agreement_random_states(grid1, grid3, rng):

@@ -9,8 +9,8 @@ from photonloc import (DetectorVolume, EnergyDensityMap, Grid, LPState,
                        helicity_scans, helicity_vanishing_scan,
                        make_lp_compact, odd_pulse_profile, peak_magnitude,
                        plane_wave, sin2_profile, strip_zero_mode,
-                       support_estimate, tail_exponent_fit, to_position,
-                       vector_potential_localized_state)
+                       support_estimate, tail_exponent_fit, to_frequency,
+                       to_position, vector_potential_localized_state)
 from photonloc.checks import random_band_limited
 from photonloc.errors import (InsufficientWindowError, NotEigenfieldError,
                               SupportError, VolumeOutOfDomainError,
@@ -198,6 +198,28 @@ def test_scan_guards(grid1):
         helicity_vanishing_scan(wave, 2.0 * grid1.spacing)
     with pytest.raises(InsufficientWindowError):
         helicity_vanishing_scan(wave, 17.0)
+
+
+@pytest.mark.parametrize("domain", ["position", "frequency"])
+def test_scan_eigenfield_test_in_either_domain(domain, grid3, rng):
+    as_domain = to_position if domain == "position" else to_frequency
+    field = random_band_limited(grid3, rng, transverse=True)
+    window = 5.0 * grid3.spacing
+    with pytest.raises(NotEigenfieldError):
+        helicity_vanishing_scan(as_domain(field), window)
+    for part, sign in zip(helicity_parts(field), (1, -1)):
+        assert helicity_vanishing_scan(as_domain(part), window).eigenvalue == sign
+
+
+def test_scan_of_a_frequency_domain_part_makes_one_inverse_transform(
+        grid3, rng, transform_counts):
+    field = random_band_limited(grid3, rng, transverse=True)
+    peak = peak_magnitude(field)
+    for part in helicity_parts(field):
+        assert part.is_frequency
+        transform_counts.update(forward=0, inverse=0)
+        helicity_vanishing_scan(part, 5.0 * grid3.spacing, reference_peak=peak)
+        assert transform_counts == {"forward": 0, "inverse": 1}
 
 
 def _hand_built_scans(field, window):
