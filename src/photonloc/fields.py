@@ -164,8 +164,7 @@ def transversality_residual(field: SpectralField) -> float:
     kx, ky, kz = f.grid.k_vectors
     vx, vy, vz = f.data
     div = np.abs(kx * vx + ky * vy + kz * vz)
-    scale = float(np.max(f.grid.k_magnitude * np.sqrt(
-        np.abs(vx) ** 2 + np.abs(vy) ** 2 + np.abs(vz) ** 2)))
+    scale = float(np.max(f.grid.k_magnitude * magnitude(f)))
     if scale == 0.0:
         return 0.0
     return float(np.max(div)) / scale

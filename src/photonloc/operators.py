@@ -77,9 +77,10 @@ def apply_frequency_power(field: SpectralField, s: float,
     there is negligible (below ZERO_MODE_TOL relative to its spectral peak)
     a ZeroModeError is raised.  Passing zero_mode="drop" instead discards
     the zero mode, which regularizes mean-carrying profiles at the price of
-    an O(sqrt(dk)) offset that vanishes as the box grows.  In every case the
-    output zero mode is exactly zero, so round trips w**-s . w**s restore
-    zero-mean fields exactly.
+    an O(sqrt(dk)) offset that vanishes as the box grows.  For every s != 0
+    the output zero mode is exactly zero, so round trips w**-s . w**s
+    restore zero-mean fields exactly; s = 0 is the identity and returns an
+    unchanged copy, zero mode included.
     """
     if s == 0:
         zero_mode_guard(zero_mode)
@@ -97,13 +98,20 @@ def curl(field: SpectralField) -> SpectralField:
     if field.grid.dim != 3:
         raise DimensionError("curl requires a three-dimensional vector field")
     f = to_frequency(field)
-    kx, ky, kz = f.grid.k_vectors
-    vx, vy, vz = f.data
-    out = np.empty_like(f.data)
-    out[0] = 1j * (ky * vz - kz * vy)
-    out[1] = 1j * (kz * vx - kx * vz)
-    out[2] = 1j * (kx * vy - ky * vx)
-    return _same_domain(field, out, True)
+    return _same_domain(field, _i_cross(f.grid.k_vectors, f.data), True)
+
+
+def _i_cross(a, v: np.ndarray) -> np.ndarray:
+    """i a x v, for a real multiplier triple a and complex components v: the
+    cross product in one fresh array, multiplied by i in place."""
+    ax, ay, az = a
+    vx, vy, vz = v
+    out = np.empty_like(v)
+    out[0] = ay * vz - az * vy
+    out[1] = az * vx - ax * vz
+    out[2] = ax * vy - ay * vx
+    out *= 1j
+    return out
 
 
 def _unit_k(grid: Grid) -> tuple:
@@ -148,12 +156,7 @@ def helicity_apply(field: SpectralField) -> SpectralField:
         return _same_domain(field, out, field.transverse)
     require_transverse(f, "helicity is defined on divergence-free fields; "
                           "apply transverse_project first")
-    ux, uy, uz = _unit_k(g)
-    vx, vy, vz = f.data
-    out = np.empty_like(f.data)
-    out[0] = 1j * (uy * vz - uz * vy)
-    out[1] = 1j * (uz * vx - ux * vz)
-    out[2] = 1j * (ux * vy - uy * vx)
+    out = _i_cross(_unit_k(g), f.data)
     out[g.zero_mode_index()] = 0.0
     return _same_domain(field, out, True)
 

@@ -36,10 +36,10 @@ import numpy as np
 
 from .energy import energy_density, total_energy
 from .errors import ProfileTooWideError
-from .fields import SpectralField, l2_norm, magnitude, to_position
+from .fields import SpectralField, l2_norm, magnitude, to_frequency, to_position
 from .grid import Grid
-from .states import (BBState, EMFields, LPState, lp_from_potentials, normalize,
-                     representation_images)
+from .states import (BBState, EMFields, LPState, _bb_field, _lp_field,
+                     lp_from_potentials, normalize)
 from .units import NATURAL, UnitsConfig
 
 
@@ -127,10 +127,16 @@ _KINDS = {"a": "lp-compact", "b": "lp-extended", "c": "bb-compact"}
 def state_curves(state):
     """Position-domain |psi|, |F|, and energy map of a state.
 
-    BB states with a nonzero mean get their LP image from the regularized
-    inverse, matching the panel construction.
+    The other representation's image comes from the isomorphism formula
+    alone, with no state built around it.  A BB state's psi drops the mean
+    (W**(-1/2) has no value at k = 0), matching the panel construction.
     """
-    psi, f = representation_images(state)
+    if state.representation == "lp":
+        psi = state.field
+        f = _bb_field(to_frequency(psi), state.units, psi.domain)
+    else:
+        f = state.field
+        psi = _lp_field(f, state.units, zero_mode="drop")
     return (magnitude(to_position(psi)), magnitude(to_position(f)),
             energy_density(state))
 

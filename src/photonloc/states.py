@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, ZeroStateError
-from .fields import (FREQUENCY, SpectralField, _trusted, l2_norm,
+from .fields import (FREQUENCY, SpectralField, _trusted, l2_inner, l2_norm,
                      require_transverse, to_frequency, to_position)
 from .operators import (apply_frequency_power, curl, helicity_apply, omega,
                         omega_power, zero_mode_guard)
@@ -213,10 +213,7 @@ def bb_from_em(em: EMFields, units: UnitsConfig = NATURAL) -> BBState:
 
 def lp_inner(a: LPState, b: LPState) -> complex:
     """Plain L2 inner product of the wave functions."""
-    if a.grid != b.grid:
-        raise GridMismatchError("states live on different grids")
-    fa, fb = to_frequency(a.psi), to_frequency(b.psi)
-    return complex(a.grid.k_cell_volume * np.sum(np.conj(fa.data) * fb.data))
+    return l2_inner(to_frequency(a.psi), to_frequency(b.psi))
 
 
 def bb_inner(a: BBState, b: BBState, zero_mode: str = "raise") -> complex:
@@ -253,14 +250,3 @@ def evolve(state, t: float):
     if state.field.is_position:
         out = to_position(out)
     return type(state)(out, state.units)
-
-
-def representation_images(state) -> tuple:
-    """The state's LP image psi and BB image F, as (psi, F).
-
-    One of the two is the state's own field.  A BB state's mean has no LP
-    image (W**(-1/2) has no value at k = 0), so its psi drops that mode.
-    """
-    if state.representation == "lp":
-        return state.field, bb_from_lp(state).field
-    return lp_from_bb(state, zero_mode="drop").field, state.field

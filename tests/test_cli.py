@@ -248,14 +248,15 @@ def test_locality_3d_box_source_wider_than_a_sixth_of_the_box(state_3d_file, tmp
 def test_energy_3d_builds_only_the_energy_map(state_3d_file, tmp_path, monkeypatch,
                                               capsys):
     # _bb_field and _lp_field build the other representation's image, in
-    # energy_density and in states.representation_images alike.
+    # energy_density, in scenarios.state_curves and in the states' own
+    # isomorphisms alike.
     calls = []
     for name in ("_bb_field", "_lp_field"):
         def spy(*args, original=getattr(photonloc.states, name), **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        for module in (photonloc.energy, photonloc.states):
+        for module in (photonloc.energy, photonloc.scenarios, photonloc.states):
             monkeypatch.setattr(module, name, spy)
     assert cli.main(["energy", str(state_3d_file), "--format", "json",
                      "--output-dir", str(tmp_path)]) == 0

@@ -11,6 +11,7 @@ from photonloc import (FREQUENCY, POSITION, Grid, SpectralField,
 from photonloc.errors import (DimensionError, TransversalityError,
                               ZeroModeError, ZeroWaveVectorError)
 from photonloc.checks import random_band_limited
+from photonloc.operators import _unit_k
 from photonloc.units import UnitsConfig
 
 
@@ -94,6 +95,28 @@ def test_curl_eigenrelation_on_plane_waves(grid3):
         assert _rel(curl(phi), sigma * kmag * phi) < 1e-10
         assert _rel(helicity_apply(phi), float(sigma) * phi) < 1e-10
         assert _rel(apply_frequency_power(phi, 1.0), kmag * phi) < 1e-12
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("domain", [POSITION, FREQUENCY])
+def test_curl_and_helicity_keep_the_bytes_of_the_component_expressions(n, domain, rng):
+    grid = Grid(3, 8.0, n)
+    f = random_band_limited(grid, rng, transverse=True)
+    if domain == POSITION:
+        f = to_position(f)
+    vx, vy, vz = to_frequency(f).data
+    for apply, (ax, ay, az) in ((curl, grid.k_vectors), (helicity_apply, _unit_k(grid))):
+        expected = np.stack([1j * (ay * vz - az * vy),
+                             1j * (az * vx - ax * vz),
+                             1j * (ax * vy - ay * vx)])
+        if apply is helicity_apply:
+            expected[grid.zero_mode_index()] = 0.0
+        expected = SpectralField(grid, expected, FREQUENCY)
+        if domain == POSITION:
+            expected = to_position(expected)
+        out = apply(f)
+        assert out.domain == domain
+        assert out.data.tobytes() == expected.data.tobytes()
 
 
 def test_curl_of_constant_and_gradient(grid3):

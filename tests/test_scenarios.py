@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from photonloc import (BBState, Grid, LPState, figure2_report, l2_norm,
-                       make_bb_compact, make_lp_compact, make_lp_extended,
-                       odd_pulse_profile, sin2_profile, state_curves,
-                       to_position, total_energy)
+from photonloc import (BBState, Grid, LPState, bb_from_lp, figure2_report,
+                       l2_norm, lp_from_bb, magnitude, make_bb_compact,
+                       make_lp_compact, make_lp_extended, odd_pulse_profile,
+                       sin2_profile, state_curves, to_position, total_energy)
 from photonloc.errors import ProfileTooWideError
+from photonloc.units import NATURAL, UnitsConfig
+
+from test_golden import _state_3d  # noqa: E402
 
 GRID = Grid(1, 16.0, 2048)
 
@@ -112,6 +115,39 @@ def test_state_curves_for_both_representations():
     assert isinstance(c, BBState) and isinstance(a, LPState)
     assert np.min(emap_c.values) > 0.0
     assert np.min(emap.values) > 0.0
+
+
+def _curve_states():
+    grid = Grid(1, 16.0, 1024)
+    for units_id, units in (("natural", NATURAL),
+                            ("si-like", UnitsConfig(hbar=2.7, c=3.1, eps0=0.7))):
+        for make in (make_lp_compact, make_lp_extended, make_bb_compact):
+            yield pytest.param(make(grid, 1.0, units),
+                               id=f"{make.__name__}-{units_id}")
+    for representation in ("lp", "bb"):
+        yield pytest.param(_state_3d(representation), id=f"{representation}-3d")
+
+
+@pytest.mark.parametrize("state", list(_curve_states()))
+def test_state_curves_keep_the_bytes_of_the_state_images(state):
+    # The curves as they were taken from a whole state of the other
+    # representation, built by the isomorphism.
+    if state.representation == "lp":
+        psi, f = state.psi, bb_from_lp(state).field
+    else:
+        psi, f = lp_from_bb(state, zero_mode="drop").field, state.f
+    lp_abs, bb_abs, _ = state_curves(state)
+    assert lp_abs.tobytes() == magnitude(to_position(psi)).tobytes()
+    assert bb_abs.tobytes() == magnitude(to_position(f)).tobytes()
+
+
+@pytest.mark.parametrize("make, forward, inverse", [
+    (make_lp_compact, 3, 6), (make_bb_compact, 2, 7)])
+def test_state_curves_transform_counts(make, forward, inverse, transform_counts):
+    state = make(GRID, 1.0)
+    transform_counts.update(forward=0, inverse=0)
+    state_curves(state)
+    assert transform_counts == {"forward": forward, "inverse": inverse}
 
 
 # ----------------------------------------------------------------- figures
