@@ -3,7 +3,9 @@
 Each suite bundles the invariants of one layer into named numerical checks
 with explicit bounds, so that `photonloc check` can print a table and the
 test suite can assert every row.  All randomness is seeded; two runs of a
-suite produce identical numbers.
+suite produce identical numbers.  A row measured on a corpus reports the
+sample closest to failing (the largest against an upper bound, the
+smallest against a lower one), and a NaN sample fails its row.
 
 The suites mirror the package's analysis pipeline: operator algebra on
 random band-limited fields, the LP/BB isomorphism, the two-path energy
@@ -66,18 +68,23 @@ class SuiteResult:
         return [c for c in self.checks if not c.ok]
 
 
-def _below(name, value, bound) -> CheckResult:
-    value = float(value)
+def _worst(samples, lowest=False) -> float:
+    """The sample closest to failing; a NaN sample propagates."""
+    return float(np.min(samples) if lowest else np.max(samples))
+
+
+def _below(name, samples, bound) -> CheckResult:
+    value = _worst(samples)
     return CheckResult(name, value, float(bound), "<", value < bound)
 
 
-def _above(name, value, bound) -> CheckResult:
-    value = float(value)
+def _above(name, samples, bound) -> CheckResult:
+    value = _worst(samples, lowest=True)
     return CheckResult(name, value, float(bound), ">", value > bound)
 
 
-def _at_most(name, value, bound) -> CheckResult:
-    value = float(value)
+def _at_most(name, samples, bound) -> CheckResult:
+    value = _worst(samples)
     return CheckResult(name, value, float(bound), "<=", value <= bound)
 
 
@@ -159,55 +166,53 @@ def suite_operator_algebra(grid1: Grid, grid3: Grid, n_fields: int = 50,
     rng = np.random.default_rng(seed)
     tol_unitary, tol_algebra = 1e-12, 1e-10
 
-    rt1 = parseval1 = 0.0
+    def parseval_gap(grid, pos, f):
+        a = grid.cell_volume * np.sum(np.abs(pos.data) ** 2)
+        b = grid.k_cell_volume * np.sum(np.abs(f.data) ** 2)
+        return abs(a - b) / b
+
+    rt1, parseval1 = [], []
     for _ in range(min(n_fields, 50)):
         f = random_band_limited(grid1, rng)
         pos = to_position(f)
-        rt1 = max(rt1, _rel(to_position(to_frequency(pos)), pos),
-                  _rel(to_frequency(to_position(f)), f))
-        a = grid1.cell_volume * np.sum(np.abs(pos.data) ** 2)
-        b = grid1.k_cell_volume * np.sum(np.abs(f.data) ** 2)
-        parseval1 = max(parseval1, abs(a - b) / b)
+        rt1 += [_rel(to_position(to_frequency(pos)), pos),
+                _rel(to_frequency(to_position(f)), f)]
+        parseval1.append(parseval_gap(grid1, pos, f))
 
-    rt3 = parseval3 = 0.0
-    lam_sq = comm = proj_idem = proj_annih = proj_complete = 0.0
-    half_power = mom_rt = mom_parseval = residual = 0.0
+    rt3, parseval3, residual, lam_sq, comm = [], [], [], [], []
+    proj_idem, proj_annih, proj_complete = [], [], []
+    half_power, mom_rt, mom_parseval = [], [], []
     for i in range(n_fields):
         f = random_band_limited(grid3, rng, transverse=True)
-        residual = max(residual, transversality_residual(f))
+        residual.append(transversality_residual(f))
         if i < 8:
             pos = to_position(f)
-            rt3 = max(rt3, _rel(to_position(to_frequency(pos)), pos))
-            a = grid3.cell_volume * np.sum(np.abs(pos.data) ** 2)
-            b = grid3.k_cell_volume * np.sum(np.abs(f.data) ** 2)
-            parseval3 = max(parseval3, abs(a - b) / b)
+            rt3.append(_rel(to_position(to_frequency(pos)), pos))
+            parseval3.append(parseval_gap(grid3, pos, f))
         lam = helicity_apply(f)
-        lam_sq = max(lam_sq, _rel(helicity_apply(lam), f))
+        lam_sq.append(_rel(helicity_apply(lam), f))
         cc = curl(f) * NATURAL.c
-        comm = max(comm,
-                   _rel(cc, apply_frequency_power(lam, 1.0)),
-                   _rel(cc, helicity_apply(apply_frequency_power(f, 1.0))))
+        comm += [_rel(cc, apply_frequency_power(lam, 1.0)),
+                 _rel(cc, helicity_apply(apply_frequency_power(f, 1.0)))]
         pp, pm = helicity_parts(f)
         pp_plus, pp_minus = helicity_parts(pp)
-        proj_idem = max(proj_idem, _rel(pp_plus, pp))
-        proj_annih = max(proj_annih,
-                         float(np.max(np.abs(pp_minus.data)))
-                         / float(np.max(np.abs(f.data))))
+        proj_idem.append(_rel(pp_plus, pp))
+        proj_annih.append(float(np.max(np.abs(pp_minus.data)))
+                          / float(np.max(np.abs(f.data))))
         del pp_plus, pp_minus  # else alive through the next iteration's peak
-        proj_complete = max(proj_complete, _rel(pp + pm, f))
+        proj_complete.append(_rel(pp + pm, f))
         half = apply_frequency_power(apply_frequency_power(f, 0.5), 0.5)
-        half_power = max(half_power, _rel(half, apply_frequency_power(f, 1.0)))
+        half_power.append(_rel(half, apply_frequency_power(f, 1.0)))
         amps = momentum_amplitudes(f)
-        mom_rt = max(mom_rt, _rel(to_frequency(synthesize_from_amplitudes(amps)), f))
-        mom_parseval = max(mom_parseval,
-                           abs(amps.norm_squared() - l2_norm(f) ** 2) / l2_norm(f) ** 2)
+        mom_rt.append(_rel(to_frequency(synthesize_from_amplitudes(amps)), f))
+        mom_parseval.append(abs(amps.norm_squared() - l2_norm(f) ** 2) / l2_norm(f) ** 2)
 
-    lam1 = proj1 = 0.0
+    lam1, proj1 = [], []
     for _ in range(min(n_fields, 20)):
         f = random_band_limited(grid1, rng)
-        lam1 = max(lam1, _rel(helicity_apply(helicity_apply(f)), f))
+        lam1.append(_rel(helicity_apply(helicity_apply(f)), f))
         pp, pm = helicity_parts(f)
-        proj1 = max(proj1, _rel(pp + pm, f))
+        proj1.append(_rel(pp + pm, f))
 
     table = grid3.polarization_table
     nz = grid3.k_magnitude > 0.0
@@ -218,14 +223,13 @@ def suite_operator_algebra(grid1: Grid, grid3: Grid, n_fields: int = 50,
     pol_trans = float(np.max(kdot[nz] / grid3.k_magnitude[nz]))
     pol_conj = float(np.max(np.abs(table[1] - np.conj(table[0]))))
 
-    pw_curl = pw_lam = pw_omega = pw_orth = 0.0
+    pw_curl, pw_lam, pw_omega = [], [], []
     for mode, sigma in (((3, 1, -2), 1), ((0, 0, 2), -1), ((-1, 4, 0), 1)):
         phi = plane_wave(grid3, mode, sigma)
         kmag = grid3.k_spacing * float(np.sqrt(sum(m * m for m in mode)))
-        pw_curl = max(pw_curl, _rel(curl(phi), sigma * kmag * phi))
-        pw_lam = max(pw_lam, _rel(helicity_apply(phi), float(sigma) * phi))
-        pw_omega = max(pw_omega, _rel(apply_frequency_power(phi, 1.0),
-                                      NATURAL.c * kmag * phi))
+        pw_curl.append(_rel(curl(phi), sigma * kmag * phi))
+        pw_lam.append(_rel(helicity_apply(phi), float(sigma) * phi))
+        pw_omega.append(_rel(apply_frequency_power(phi, 1.0), NATURAL.c * kmag * phi))
     phi_a = plane_wave(grid3, (1, 0, 0), 1)
     phi_b = plane_wave(grid3, (2, 1, 0), 1)
     pw_orth = abs(l2_inner(phi_a, phi_b)) / (l2_norm(phi_a) * l2_norm(phi_b))
@@ -265,7 +269,7 @@ def suite_isomorphism(grid1: Grid, grid3: Grid, n_pairs: int = 20,
     rng = np.random.default_rng(seed)
     units_list = [NATURAL, UnitsConfig(hbar=0.5, c=2.0, eps0=3.0)]
 
-    roundtrip = inner_corr = norm_corr = evolve_comm = 0.0
+    roundtrip, inner_corr, norm_corr, evolve_comm = [], [], [], []
     for i in range(n_pairs):
         units = units_list[i % 2]
         grid = grid3 if i % 5 == 0 else grid1
@@ -273,45 +277,41 @@ def suite_isomorphism(grid1: Grid, grid3: Grid, n_pairs: int = 20,
         psi2 = LPState(random_band_limited(grid, rng, transverse=True), units)
         f = bb_from_lp(psi)
         back = lp_from_bb(f)
-        roundtrip = max(roundtrip, _rel(to_frequency(back.psi), to_frequency(psi.psi)))
+        roundtrip.append(_rel(to_frequency(back.psi), to_frequency(psi.psi)))
         ip_lp = lp_inner(psi, psi2)
         ip_bb = bb_inner(f, bb_from_lp(psi2))
-        inner_corr = max(inner_corr, abs(ip_bb - units.hbar * ip_lp) / abs(ip_lp))
-        norm_corr = max(norm_corr,
-                        abs(f.norm - np.sqrt(units.hbar) * psi.norm)
-                        / (np.sqrt(units.hbar) * psi.norm))
+        inner_corr.append(abs(ip_bb - units.hbar * ip_lp) / abs(ip_lp))
+        norm_corr.append(abs(f.norm - np.sqrt(units.hbar) * psi.norm)
+                         / (np.sqrt(units.hbar) * psi.norm))
         t = float(rng.uniform(-3.0, 3.0))
-        evolve_comm = max(evolve_comm, _rel(to_frequency(bb_from_lp(evolve(psi, t)).f),
-                                            to_frequency(evolve(f, t).f)))
+        evolve_comm.append(_rel(to_frequency(bb_from_lp(evolve(psi, t)).f),
+                                to_frequency(evolve(f, t).f)))
 
-    pair_rebuild = pair_eigen = rs_identity = cross_path = cross_path_1d = 0.0
+    pair_rebuild, pair_eigen, rs_identity, cross_path, cross_path_1d = [], [], [], [], []
     for i in range(6):
         e3 = random_real_smooth(grid3, rng, transverse=True)
         b3 = random_real_smooth(grid3, rng, transverse=True)
         fb = bb_from_em(EMFields(e3, e3, b3))
         plus, minus = helicity_parts(fb.f)
-        pair_rebuild = max(pair_rebuild, _rel(plus + minus, to_position(fb.f)))
-        pair_eigen = max(pair_eigen, _rel(helicity_apply(plus), plus))
+        pair_rebuild.append(_rel(plus + minus, to_position(fb.f)))
+        pair_eigen.append(_rel(helicity_apply(plus), plus))
         scale = np.sqrt(NATURAL.eps0 / 2.0)
         rs_plus, rs_minus = helicity_parts(scale * (e3 + 1j * NATURAL.c * b3))
-        rs_identity = max(
-            rs_identity,
-            _rel(plus, to_position(rs_plus)),
-            _rel(minus.data, np.conj(to_position(rs_minus).data)))
+        rs_identity += [_rel(plus, to_position(rs_plus)),
+                        _rel(minus.data, np.conj(to_position(rs_minus).data))]
         del rs_plus, rs_minus  # else alive through the next iteration's peak
 
         a3 = random_real_smooth(grid3, rng, transverse=True)
         em = EMFields.from_potentials(e3, a3)
         via_em = bb_from_em(em)
         via_lp = bb_from_lp(lp_from_potentials(em))
-        cross_path = max(cross_path, _rel(to_position(via_em.f), to_position(via_lp.f)))
+        cross_path.append(_rel(to_position(via_em.f), to_position(via_lp.f)))
 
         e1 = random_real_smooth(grid1, rng)
         a1 = random_real_smooth(grid1, rng)
         em1 = EMFields.from_potentials(e1, a1)
-        cross_path_1d = max(cross_path_1d,
-                            _rel(to_position(bb_from_em(em1).f),
-                                 to_position(bb_from_lp(lp_from_potentials(em1)).f)))
+        cross_path_1d.append(_rel(to_position(bb_from_em(em1).f),
+                                  to_position(bb_from_lp(lp_from_potentials(em1)).f)))
 
     return SuiteResult("isomorphism", [
         _below("lp-bb-round-trip", roundtrip, 1e-11),
@@ -330,16 +330,16 @@ def suite_two_path(figset, grid1: Grid, grid3: Grid, n_random: int = 20,
                    seed: int = 13) -> SuiteResult:
     """The two routes to the energy density agree pointwise."""
     rng = np.random.default_rng(seed)
-    worst_fig = max(p.two_path_discrepancy for p in figset.panels.values())
-    worst_random = 0.0
+    fig = [p.two_path_discrepancy for p in figset.panels.values()]
+    corpus = []
     for i in range(n_random):
         grid = grid3 if i % 7 == 0 else grid1
         field = random_band_limited(grid, rng, transverse=True)
         state = (LPState(field) if i % 2 == 0 else BBState(field))
-        worst_random = max(worst_random, energy_density(state).two_path_discrepancy)
+        corpus.append(energy_density(state).two_path_discrepancy)
     return SuiteResult("two-path-energy", [
-        _below("figure-states-discrepancy", worst_fig, 1e-10),
-        _below("random-states-discrepancy", worst_random, 1e-10),
+        _below("figure-states-discrepancy", fig, 1e-10),
+        _below("random-states-discrepancy", corpus, 1e-10),
     ])
 
 
@@ -354,11 +354,9 @@ def suite_parseval_energy(figset, grid1: Grid, seed: int = 17) -> SuiteResult:
                            state.units)).real
         return abs(tot - spectral) / abs(spectral)
 
-    worst_lp = max(lp_energy_error(figset.states["a"]),
-                   lp_energy_error(figset.states["b"]))
-    for _ in range(5):
-        worst_lp = max(worst_lp, lp_energy_error(
-            LPState(random_band_limited(grid1, rng))))
+    lp_errors = [lp_energy_error(figset.states["a"]), lp_energy_error(figset.states["b"])]
+    lp_errors += [lp_energy_error(LPState(random_band_limited(grid1, rng)))
+                  for _ in range(5)]
 
     state_c = figset.states["c"]
     fc = to_frequency(state_c.f)
@@ -384,7 +382,7 @@ def suite_parseval_energy(figset, grid1: Grid, seed: int = 17) -> SuiteResult:
               / (grid1.k_cell_volume * float(np.sum(np.abs(amp) ** 2))))
 
     return SuiteResult("parseval-energy", [
-        _below("lp-total-vs-spectral", worst_lp, 1e-8),
+        _below("lp-total-vs-spectral", lp_errors, 1e-8),
         _below("bb-regularized-total-vs-spectral", bb_reg, 1e-8),
         _below("bb-quadrance-energy-accounting", bb_total, 1e-8),
         _below("narrowband-energy-offset", abs(tot_nb - 10.0) / 10.0, 0.005),
@@ -547,7 +545,7 @@ def suite_lemma_witnesses(figset, grid1: Grid, seed: int = 23,
 
     window = max(0.05, 4.0 * grid1.spacing)
     w_samples = max(4, int(round(window / grid1.spacing)))
-    worst_joint = np.inf
+    joint = []
     for _ in range(20):
         v = random_compact_bump(grid1, rng)
         mag_v = magnitude(v)
@@ -555,25 +553,23 @@ def suite_lemma_witnesses(figset, grid1: Grid, seed: int = 23,
         mag_wv = magnitude(to_position(wv))
         rel_v = _window_maxima(mag_v, w_samples) / float(np.max(mag_v))
         rel_wv = _window_maxima(mag_wv, w_samples) / float(np.max(mag_wv))
-        worst_joint = min(worst_joint, float(np.min(np.maximum(rel_v, rel_wv))))
+        joint.append(float(np.min(np.maximum(rel_v, rel_wv))))
 
     p = sin2_profile(grid1, 1.0)
     witness = antilocality_witness(p, DetectorVolume.interval(2.4, 2.6))
 
-    worst_scan = np.inf
     scan_window = max(0.1, 5.0 * grid1.spacing)
-    for label in ("a", "b", "c"):
-        for report in helicity_scans(figset.states[label].field, scan_window):
-            if not report.identically_zero:
-                worst_scan = min(worst_scan, report.min_window_max / report.peak)
+    scans = [report.min_window_max / report.peak for label in ("a", "b", "c")
+             for report in helicity_scans(figset.states[label].field, scan_window)
+             if not report.identically_zero]
 
     return SuiteResult("lemma-witnesses", [
         _above("floor-feasible-vs-transform-noise", floor, noise),
-        _above("antilocality-corpus-joint-minimum", worst_joint, floor),
+        _above("antilocality-corpus-joint-minimum", joint, floor),
         _below("compact-profile-far-zone-field", witness.rel_v, 1e-14),
         _above("compact-profile-far-zone-frequency-image",
                witness.rel_omega_v, 1e-4),
-        _above("helicity-scan-minimum", worst_scan, PHYSICAL_FLOOR),
+        _above("helicity-scan-minimum", scans, PHYSICAL_FLOOR),
     ])
 
 
@@ -582,9 +578,8 @@ def suite_determinism(figset, grid1: Grid, seed: int = 29) -> SuiteResult:
     rng = np.random.default_rng(seed)
 
     again = figure2_report(figset.grid, figset.pulse_length, figset.units)
-    repeat_dev = max(float(np.max(np.abs(figset.panels[p].energy
-                                         - again.panels[p].energy)))
-                     for p in ("a", "b", "c"))
+    repeat_dev = [float(np.max(np.abs(figset.panels[p].energy - again.panels[p].energy)))
+                  for p in ("a", "b", "c")]
     with tempfile.TemporaryDirectory() as tmp:
         p1, p2 = os.path.join(tmp, "a.csv"), os.path.join(tmp, "b.csv")
         cols = [("x", figset.grid.axis), ("energy_density", figset.panels["a"].energy)]
@@ -602,18 +597,18 @@ def suite_determinism(figset, grid1: Grid, seed: int = 29) -> SuiteResult:
     j2 = json.dumps(jsonable(knight_locality_test(emap, src)), sort_keys=True)
     json_equal = 0.0 if j1 == j2 else 1.0
 
-    norm_dev = energy_dev = rt_dev = 0.0
+    norm_dev, energy_dev, rt_dev = [], [], []
     for i in range(6):
         field = random_band_limited(grid1, rng)
         state = LPState(field) if i % 2 == 0 else BBState(field)
         t = float(rng.uniform(-5.0, 5.0))
         moved = evolve(state, t)
-        norm_dev = max(norm_dev, abs(moved.norm - state.norm) / state.norm)
+        norm_dev.append(abs(moved.norm - state.norm) / state.norm)
         e0 = total_energy(energy_density(state))
         e1 = total_energy(energy_density(moved))
-        energy_dev = max(energy_dev, abs(e1 - e0) / e0)
+        energy_dev.append(abs(e1 - e0) / e0)
         back = evolve(moved, -t)
-        rt_dev = max(rt_dev, _rel(back.field, state.field))
+        rt_dev.append(_rel(back.field, state.field))
 
     return SuiteResult("determinism-evolution", [
         _below("figure-recompute-deviation", repeat_dev, 1e-300),

@@ -20,6 +20,44 @@ def test_suite_result_semantics():
     assert SuiteResult("ok", [good]).passed
 
 
+def _fields(result):
+    return (result.name, result.value, result.bound, result.comparator, result.ok)
+
+
+@pytest.mark.parametrize("row, bound", [(checks._below, 1.0), (checks._at_most, 1.0),
+                                        (checks._above, 0.0)],
+                         ids=["below", "at_most", "above"])
+def test_a_nan_sample_fails_its_row_wherever_it_sits(row, bound):
+    assert row("r", [1e-13, 2e-13], bound).ok
+    for samples in ([np.nan, 1e-13, 2e-13], [1e-13, 2e-13, np.nan]):
+        result = row("r", samples, bound)
+        assert not result.ok and np.isnan(result.value)
+
+
+def test_a_row_reports_the_sample_closest_to_failing():
+    samples = list(np.random.default_rng(3).uniform(0.0, 1.0, 50))
+    running_max, running_min = 0.0, np.inf
+    for sample in samples:
+        running_max = max(running_max, sample)
+        running_min = min(running_min, sample)
+    assert checks._below("r", samples, 2.0).value == running_max
+    assert checks._at_most("r", samples, 2.0).value == running_max
+    assert checks._above("r", samples, -1.0).value == running_min
+    assert not checks._below("r", samples, running_max).ok
+    assert checks._at_most("r", samples, running_max).ok
+    assert not checks._above("r", samples, running_min).ok
+
+
+def test_a_scalar_row_is_unchanged():
+    value = np.float64(0.25)
+    assert _fields(checks._below("r", value, 1)) == ("r", 0.25, 1.0, "<", True)
+    assert _fields(checks._at_most("r", value, 0.25)) == ("r", 0.25, 0.25, "<=", True)
+    assert _fields(checks._above("r", value, 0.25)) == ("r", 0.25, 0.25, ">", False)
+    assert _fields(checks._below("r", 0.25, 0.25)) == ("r", 0.25, 0.25, "<", False)
+    assert type(checks._below("r", value, 1).value) is float
+    assert not checks._below("r", np.nan, 1.0).ok
+
+
 def test_band_limit_below_nyquist(grid1):
     kmax = float(np.max(np.abs(grid1.k_axis)))
     assert 0.0 < band_limit(grid1) < kmax

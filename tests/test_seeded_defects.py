@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from photonloc import (FREQUENCY, BBState, Grid, LPState, SpectralField, checks,
-                       fields, operators)
+                       cli, fields, operators)
 from photonloc.errors import TransversalityError
 from photonloc.energy import energy_density
 from photonloc.scenarios import make_bb_compact, make_lp_compact, make_lp_extended
@@ -142,6 +142,52 @@ def test_minus_polarization_set_to_plus_fails_operator_algebra(monkeypatch):
     algebra, _ = operator_suites()
     assert {"polarization-conjugation", "momentum-amplitude-round-trip",
             "momentum-amplitude-parseval"} <= failed(algebra)
+
+
+def nan_in_synthesis(original):
+    """synthesize_from_amplitudes with one NaN sample."""
+    def synthesize_from_amplitudes(amps):
+        out = original(amps)
+        data = out.data.copy()
+        data.flat[1] = np.nan
+        return fields._trusted(out.grid, data, out.domain, out.transverse)
+    return synthesize_from_amplitudes
+
+
+def test_nan_in_synthesis_fails_the_momentum_round_trip(monkeypatch):
+    plant(monkeypatch, "synthesize_from_amplitudes", nan_in_synthesis)
+    algebra = checks.suite_operator_algebra(GRID1, GRID3, n_fields=8)
+    row, = (c for c in algebra.checks if c.name == "momentum-amplitude-round-trip")
+    assert not row.ok and np.isnan(row.value)
+
+
+def test_nan_in_synthesis_makes_check_exit_2(monkeypatch, capsys):
+    plant(monkeypatch, "synthesize_from_amplitudes", nan_in_synthesis)
+    assert cli.main(["check", "--grid-n", "256", "--n-fields", "4"]) == 2
+    assert "failed: momentum-amplitude-round-trip: nan" in capsys.readouterr().out
+
+
+def test_nan_at_one_3d_helicity_mode_fails_operator_algebra(monkeypatch):
+    """Each row the NaN reaches must read NaN and fail.  The isomorphism
+    suite is not run: a state norm there turns NaN and is rejected with
+    ValueError, which is loud already."""
+    def make_defect(original):
+        def helicity_apply(field):
+            out = original(field)
+            if field.grid.dim != 3:
+                return out
+            data = fields.to_frequency(out).data.copy()
+            data[0, 1, 0, 0] = np.nan
+            planted = fields._trusted(out.grid, data, FREQUENCY, True)
+            return planted if out.domain == FREQUENCY else fields.to_position(planted)
+        return helicity_apply
+    plant(monkeypatch, "helicity_apply", make_defect)
+    algebra = checks.suite_operator_algebra(GRID1, GRID3, n_fields=8)
+    assert {"helicity-squared-3d", "curl-frequency-helicity-commutation",
+            "projector-idempotence", "projector-annihilation",
+            "projector-completeness-3d",
+            "plane-wave-helicity-eigenvalue"} <= failed(algebra)
+    assert all(np.isnan(c.value) for c in algebra.failures())
 
 
 def test_longitudinal_field_flagged_transverse_is_rejected():
