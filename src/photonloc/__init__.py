@@ -22,8 +22,8 @@ from .fields import (FREQUENCY, POSITION, SpectralField, forward_transform,
 from .operators import (MomentumAmplitudes, apply_frequency_power, curl,
                         helicity_apply, helicity_parts, helicity_project,
                         momentum_amplitudes, omega, plane_wave,
-                        polarization_vector, synthesize_from_amplitudes,
-                        transversality_residual, transverse_project)
+                        synthesize_from_amplitudes, transversality_residual,
+                        transverse_project)
 from .states import (BBState, EMFields, LPState, PhotonState, bb_from_em,
                      bb_from_lp, bb_inner, evolve, lp_from_bb,
                      lp_from_potentials, lp_inner, normalize,

@@ -5,7 +5,8 @@ with explicit bounds, so that `photonloc check` can print a table and the
 test suite can assert every row.  All randomness is seeded; two runs of a
 suite produce identical numbers.  A row measured on a corpus reports the
 sample closest to failing (the largest against an upper bound, the
-smallest against a lower one), and a NaN sample fails its row.
+smallest against a lower one), and a NaN sample fails its row.  A suite
+that raises fails with one NaN row naming the exception.
 
 The suites mirror the package's analysis pipeline: operator algebra on
 random band-limited fields, the LP/BB isomorphism, the two-path energy
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import DetectorVolume, EnergyDensityMap, energy_density, knight_locality_test, total_energy
+from .errors import PhotonlocError
 from .fields import (FREQUENCY, POSITION, SpectralField, _trusted, l2_inner, l2_norm,
                      magnitude, to_frequency, to_position)
 from .grid import Grid
@@ -620,6 +622,18 @@ def suite_determinism(figset, grid1: Grid, seed: int = 29) -> SuiteResult:
     ])
 
 
+def _run_suite(name: str, suite, *args) -> SuiteResult:
+    """suite(*args), or, if it raises a PhotonlocError, ValueError or
+    ArithmeticError (how a numerical defect surfaces through the package's
+    own validation), a failed suite ``name`` with one NaN row that names the
+    exception."""
+    try:
+        return suite(*args)
+    except (PhotonlocError, ValueError, ArithmeticError) as exc:
+        return SuiteResult(name, [_below(f"raised {type(exc).__name__}: {exc}",
+                                         np.nan, np.inf)])
+
+
 def run_all_checks(grid_n: int = 4096, domain: float = 16.0,
                    pulse_length: float = 1.0, n_fields: int = 50,
                    seed: int = 7, floor: float = PHYSICAL_FLOOR,
@@ -632,8 +646,9 @@ def run_all_checks(grid_n: int = 4096, domain: float = 16.0,
     fail).  The figure-based suites always run at the committed
     demonstration parameters (N = 4096, box 16) so their numbers are
     comparable across configurations.  A ``floor`` that is not finite and
-    positive, or fewer than one random field, raises ValueError before any
-    suite runs.
+    positive, fewer than one random field, or a grid or pulse that cannot
+    be built raises before any suite runs.  A suite that raises comes back
+    failed, with one NaN row naming the exception, and the others still run.
     """
     if not (0.0 < floor < np.inf):
         raise ValueError(f"floor must be finite and positive, got {floor}")
@@ -645,14 +660,14 @@ def run_all_checks(grid_n: int = 4096, domain: float = 16.0,
     fig_grid = Grid(1, 16.0, 4096)
     figset = figure2_report(fig_grid, pulse_length, units)
     return [
-        suite_operator_algebra(grid1, grid3, n_fields, seed),
-        suite_isomorphism(grid1, grid3, 20, seed + 1),
-        suite_two_path(figset, grid1, grid3, 20, seed + 2),
-        suite_parseval_energy(figset, fig_grid, seed + 3),
-        suite_truth_table(figset),
-        suite_nonlocality_floor(figset),
-        suite_tail_quantification(units),
-        suite_vector_potential(fig_grid, units),
-        suite_lemma_witnesses(figset, fig_grid, seed + 4, floor),
-        suite_determinism(figset, fig_grid, seed + 5),
+        _run_suite("operator-algebra", suite_operator_algebra, grid1, grid3, n_fields, seed),
+        _run_suite("isomorphism", suite_isomorphism, grid1, grid3, 20, seed + 1),
+        _run_suite("two-path-energy", suite_two_path, figset, grid1, grid3, 20, seed + 2),
+        _run_suite("parseval-energy", suite_parseval_energy, figset, fig_grid, seed + 3),
+        _run_suite("figure-truth-table", suite_truth_table, figset),
+        _run_suite("nonlocality-floor", suite_nonlocality_floor, figset),
+        _run_suite("tail-quantification", suite_tail_quantification, units),
+        _run_suite("vector-potential-locality", suite_vector_potential, fig_grid, units),
+        _run_suite("lemma-witnesses", suite_lemma_witnesses, figset, fig_grid, seed + 4, floor),
+        _run_suite("determinism-evolution", suite_determinism, figset, fig_grid, seed + 5),
     ]

@@ -8,7 +8,8 @@ Subcommands:
   check       run the numerical verification suites
 
 Exit codes: 0 on success, 1 on validation errors (bad arguments, malformed
-files, impossible geometry), 2 when a numerical verification fails.
+files, impossible geometry), 2 when a numerical verification fails, a
+suite that raises included.
 """
 
 from __future__ import annotations

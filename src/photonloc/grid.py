@@ -7,6 +7,9 @@ arrays throughout the package are stored in FFT order (mode 0 first), so
 index 0 along each spectral axis is always the zero mode.  The grid also
 owns the layout of a field's data (``field_shape``, ``zero_mode_index``)
 and caches every k-space table, the circular polarization vectors included.
+Those come from the package's one formula for eps_sigma(k), ``_polarization``,
+which alone fixes their phase convention and their limit on the z-axis; the
+table evaluates it on the lattice and ``plane_wave`` at its single mode.
 """
 
 from __future__ import annotations
@@ -137,17 +140,24 @@ class Grid:
         """
         if self.dim != 3:
             raise DimensionError("polarization vectors need a three-dimensional grid")
-        kx, ky, kz = (np.broadcast_to(c, self.spatial_shape) for c in self.k_vectors)
-        kmag = self.k_magnitude
-        kperp2 = kx ** 2 + ky ** 2
-        generic = kperp2 > 0.0
-        axis = (kperp2 == 0.0) & (np.abs(kz) > 0.0)
-        denom = np.where(generic, np.sqrt(2.0) * kmag * np.sqrt(kperp2), 1.0)
-        plus = np.zeros(self.field_shape, dtype=np.complex128)
-        plus[0] = np.where(generic, (-kx * kz + 1j * kmag * ky) / denom, 0.0)
-        plus[1] = np.where(generic, (-ky * kz - 1j * kmag * kx) / denom, 0.0)
-        plus[2] = np.where(generic, kperp2 / denom, 0.0)
-        inv_sqrt2 = 1.0 / np.sqrt(2.0)
-        plus[0] = np.where(axis, -np.sign(kz) * inv_sqrt2, plus[0])
-        plus[1] = np.where(axis, -1j * inv_sqrt2, plus[1])
+        plus = _polarization(*self.k_vectors)
         return _readonly(np.stack([plus, np.conj(plus)]))
+
+
+def _polarization(kx, ky, kz) -> np.ndarray:
+    """eps_+(k), the eigenvector of i k^ x with eigenvalue +1 (eps_- is its
+    conjugate), shape (3,) + the broadcast shape of the components.  On the
+    z-axis it takes the continuous limit along +x; at k = 0 it is zero."""
+    kperp2 = kx ** 2 + ky ** 2
+    kmag = _euclidean_norm((kx, ky, kz))
+    generic = kperp2 > 0.0
+    axis = (kperp2 == 0.0) & (np.abs(kz) > 0.0)
+    denom = np.where(generic, np.sqrt(2.0) * kmag * np.sqrt(kperp2), 1.0)
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    plus = np.zeros((3,) + kmag.shape, dtype=np.complex128)
+    plus[0] = np.where(generic, (-kx * kz + 1j * kmag * ky) / denom,
+                       np.where(axis, -np.sign(kz) * inv_sqrt2, 0.0))
+    plus[1] = np.where(generic, (-ky * kz - 1j * kmag * kx) / denom,
+                       np.where(axis, -1j * inv_sqrt2, 0.0))
+    plus[2] = np.where(generic, kperp2 / denom, 0.0)
+    return plus

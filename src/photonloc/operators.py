@@ -12,6 +12,9 @@ divergence-free field into circularly polarized parts.  On a one-dimensional
 grid the reduced model keeps a single scalar component and the helicity
 operator degenerates to the multiplier sign(k), so positive and negative
 wavevectors play the role of the two polarizations.
+
+Plane waves exist only at lattice modes, mode numbers in [-n/2, n/2), and
+take eps_sigma(k) from the grid's formula, bit for bit its table's column.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .fields import (FREQUENCY, POSITION, SpectralField, _trusted, require_trans
                      to_frequency, to_position, zero_mode_amplitude)
 # Re-exported: the residual is measured where a field is built (fields.py).
 from .fields import TRANSVERSE_TOL, transversality_residual  # noqa: F401
-from .grid import Grid
+from .grid import Grid, _polarization
 from .units import NATURAL, UnitsConfig
 
 ZERO_MODE_TOL = 1e-10
@@ -191,53 +194,33 @@ def helicity_parts(field: SpectralField) -> tuple:
     return _helicity_parts(field, (1, -1))
 
 
-def polarization_vector(k, sigma: int) -> np.ndarray:
-    """Helicity eigenvector of i k^ x with eigenvalue ``sigma``, a complex
-    3-vector.
-
-    The pair is orthonormal, transverse, and satisfies
-    eps(-) = conj(eps(+)).  On the z-axis, where the generic formula
-    degenerates, the continuous limit along +x is used.
-    """
-    if sigma not in (1, -1):
-        raise ValueError(f"sigma must be +1 or -1, got {sigma}")
-    kx, ky, kz = (float(c) for c in k)
-    kmag = np.sqrt(kx * kx + ky * ky + kz * kz)
-    if kmag == 0.0:
-        raise ZeroWaveVectorError("polarization vectors are undefined at k = 0")
-    kperp2 = kx * kx + ky * ky
-    if kperp2 == 0.0:
-        eps = np.array([-np.sign(kz), -1j, 0.0], dtype=np.complex128) / np.sqrt(2.0)
-    else:
-        denom = np.sqrt(2.0) * kmag * np.sqrt(kperp2)
-        eps = np.array([
-            -kx * kz + 1j * kmag * ky,
-            -ky * kz - 1j * kmag * kx,
-            kperp2,
-        ], dtype=np.complex128) / denom
-    return eps if sigma == 1 else np.conj(eps)
-
-
 def plane_wave(grid: Grid, mode_index, sigma: int = None) -> SpectralField:
     """Transverse plane wave (2 pi)**(-d/2) eps_sigma(k) e^(i k.x).
 
     In three dimensions ``mode_index`` is an integer triple and ``sigma``
-    selects the circular polarization carried by the wave.  In one
-    dimension ``mode_index`` is a single integer and ``sigma`` is ignored.
-    The zero mode carries no propagation direction and is rejected.
+    (+1 or -1) selects the circular polarization, evaluated at this one mode
+    without building the grid's table.  In one dimension ``mode_index`` is a
+    single integer and ``sigma`` is ignored.  A mode number outside
+    [-n/2, n/2) or a bad ``sigma`` raises ValueError; the zero mode carries
+    no propagation direction and raises ZeroWaveVectorError.
     """
+    modes = (int(mode_index),) if grid.dim == 1 else tuple(int(m) for m in mode_index)
+    half = grid.n // 2
+    if not all(-half <= m < half for m in modes):
+        raise ValueError(f"mode numbers must lie in [-{half}, {half}), got {modes}")
+    if not any(modes):
+        raise ZeroWaveVectorError("plane waves need a nonzero mode index")
+    kvec = grid.k_axis[list(modes)]
     if grid.dim == 1:
-        m = int(mode_index)
-        if m == 0:
-            raise ZeroWaveVectorError("plane waves need a nonzero mode index")
-        kval = grid.k_spacing * m
-        data = (2.0 * np.pi) ** -0.5 * np.exp(1j * kval * grid.axis)
+        data = (2.0 * np.pi) ** -0.5 * np.exp(1j * kvec[0] * grid.axis)
         return SpectralField(grid, data, POSITION)
-    mx, my, mz = (int(m) for m in mode_index)
-    kvec = grid.k_spacing * np.array([mx, my, mz], dtype=np.float64)
-    eps = polarization_vector(kvec, sigma)
+    if sigma not in (1, -1):
+        raise ValueError(f"sigma must be +1 or -1, got {sigma}")
+    kx, ky, kz = kvec
+    eps = _polarization(*kvec[:, None])[:, 0]  # 1-element arrays: the table's ufunc loops
+    eps = eps if sigma == 1 else np.conj(eps)
     x, y, z = grid.position_mesh()
-    phase = np.exp(1j * (kvec[0] * x + kvec[1] * y + kvec[2] * z))
+    phase = np.exp(1j * (kx * x + ky * y + kz * z))
     data = (2.0 * np.pi) ** -1.5 * eps[:, None, None, None] * phase[None, :, :, :]
     return _trusted(grid, data, POSITION, True)
 

@@ -19,7 +19,7 @@ import pytest
 
 from photonloc import run_all_checks, write_json
 
-REPORT_SHA256 = "9143cae6102f8710401724efc951b9cb64c420e1f1fc557673827fa9892b2c38"
+REPORT_SHA256 = "f134f8d6e9d55adc093693a30c242b2aced6b920392fe4f395da30ebb8d1f2cd"
 
 CRITERIA = [
     ("01", "operator-algebra"),

@@ -350,6 +350,19 @@ def test_non_finite_grid_or_units_exit_1(tmp_path, args):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--grid-n", "7"], "n must be a positive even integer"),
+    (["--domain-length", "-1"], "length must be finite and positive"),
+    (["--pulse-length", "-1"], "pulse_length must be positive"),
+    (["--pulse-length", "100"], "shorter than 16 pulse lengths"),
+])
+def test_check_rejects_a_grid_or_pulse_before_any_suite_runs(capsys, args, message):
+    assert cli.main(["check"] + args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
 def test_check_prints_the_comparator_of_a_failed_check(monkeypatch, capsys):
     suites = [SuiteResult("planted", [_at_most("planted-at-most", 2.0, 1.0)])]
     monkeypatch.setattr(cli, "run_all_checks", lambda **kwargs: suites)

@@ -5,12 +5,14 @@ from photonloc import (FREQUENCY, POSITION, Grid, SpectralField,
                        apply_frequency_power, curl, helicity_apply,
                        helicity_parts, helicity_project, l2_inner,
                        l2_norm, momentum_amplitudes, plane_wave,
-                       polarization_vector, strip_zero_mode,
-                       synthesize_from_amplitudes, to_frequency, to_position,
-                       transversality_residual, transverse_project)
+                       strip_zero_mode, synthesize_from_amplitudes,
+                       to_frequency, to_position, transversality_residual,
+                       transverse_project)
 from photonloc.errors import (DimensionError, TransversalityError,
                               ZeroModeError, ZeroWaveVectorError)
 from photonloc.checks import random_band_limited
+from photonloc.fields import TRANSVERSE_TOL
+from photonloc.grid import _polarization
 from photonloc.operators import _unit_k
 from photonloc.units import UnitsConfig
 
@@ -218,32 +220,80 @@ def test_transverse_project_examples(grid3, rng):
 # ------------------------------------------------------------- polarization
 
 def test_polarization_hand_values():
-    eps = polarization_vector((1.0, 0.0, 0.0), +1)
+    eps = _polarization(1.0, 0.0, 0.0)
     assert isinstance(eps, np.ndarray)
     assert eps.shape == (3,) and eps.dtype == np.complex128
     expected = np.array([0.0, -1.0j, 1.0]) / np.sqrt(2.0)
     assert np.max(np.abs(eps - expected)) < 1e-14
 
-    eps_z = polarization_vector((0.0, 0.0, 1.0), +1)
+    eps_z = _polarization(0.0, 0.0, 1.0)
     expected_z = np.array([-1.0, -1.0j, 0.0]) / np.sqrt(2.0)
     assert np.max(np.abs(eps_z - expected_z)) < 1e-14
 
 
-def test_polarization_conjugation_and_eigenrelation(rng):
-    for _ in range(20):
-        k = rng.standard_normal(3) * 3.0
-        plus = polarization_vector(tuple(k), +1)
-        minus = polarization_vector(tuple(k), -1)
-        assert np.max(np.abs(minus - np.conj(plus))) < 1e-13
-        khat = k / np.linalg.norm(k)
-        assert np.abs(np.vdot(plus, plus) - 1.0) < 1e-13
-        assert np.abs(np.dot(khat, plus)) < 1e-13
-        assert np.max(np.abs(1j * np.cross(khat, plus) - plus)) < 1e-12
+def test_polarization_conjugation_and_eigenrelation(grid3, rng):
+    """At random k: unit norm, k^ . eps(+) = 0, i k^ x eps(+) = eps(+), and
+    the table's second row is the conjugate of its first."""
+    k = rng.standard_normal((3, 20)) * 3.0
+    plus = _polarization(*k)
+    assert plus.shape == (3, 20)
+    khat = k / np.linalg.norm(k, axis=0)
+    assert np.max(np.abs(np.sum(np.abs(plus) ** 2, axis=0) - 1.0)) < 1e-13
+    assert np.max(np.abs(np.sum(khat * plus, axis=0))) < 1e-13
+    assert np.max(np.abs(1j * np.cross(khat, plus, axis=0) - plus)) < 1e-12
+    table = grid3.polarization_table
+    assert np.array_equal(table[1], np.conj(table[0]))
 
 
-def test_polarization_zero_wavevector():
-    with pytest.raises(ZeroWaveVectorError):
-        polarization_vector((0.0, 0.0, 0.0), +1)
+def test_polarization_zero_wavevector(grid3):
+    """No direction at k = 0: the formula and the table give the zero
+    vector there."""
+    assert np.array_equal(_polarization(0.0, 0.0, 0.0), np.zeros(3))
+    assert np.array_equal(grid3.polarization_table[:, :, 0, 0, 0], np.zeros((2, 3)))
+
+
+def test_plane_wave_polarization_is_the_table_column_bit_for_bit():
+    """At x = 0 the phase is exactly 1, so the sample there is
+    (2 pi)**-1.5 eps_sigma(k): it must equal the table's column at every
+    nonzero mode, for both sigma."""
+    g = Grid(3, 2.0 * np.pi, 16)
+    c = g.n // 2
+    assert g.axis[c] == 0.0
+    table = g.polarization_table
+    for mode in np.ndindex(g.spatial_shape):
+        if mode == (0, 0, 0):
+            continue
+        modes = tuple(int(m) for m in g.mode_numbers[list(mode)])
+        for row, sigma in ((0, 1), (1, -1)):
+            sample = plane_wave(g, modes, sigma).data[:, c, c, c]
+            expected = (2.0 * np.pi) ** -1.5 * table[(row, slice(None)) + mode]
+            assert np.array_equal(sample, expected), (modes, sigma)
+
+
+@pytest.mark.parametrize("dim, mode, sigma", [
+    (1, 4, None), (1, 5, None), (1, -5, None),
+    (3, (4, 1, 0), 1), (3, (1, -5, 0), 1), (3, (0, 0, 5), -1),
+    (3, (1, 0, 0), 0)])
+def test_plane_wave_rejects_an_off_lattice_mode_or_a_bad_sigma(dim, mode, sigma):
+    """On an n = 8 grid mode numbers lie in [-4, 4): +n/2 and beyond would
+    alias to the opposite helicity, and a 3d wave there is not transverse
+    on the grid."""
+    with pytest.raises(ValueError):
+        plane_wave(Grid(dim, 2.0 * np.pi, 8), mode, sigma)
+
+
+def test_every_lattice_plane_wave_is_measured_transverse_and_a_helicity_eigenfield():
+    """The transverse flag plane_wave sets is honest at every nonzero mode
+    of an 8**3 grid, the Nyquist planes included."""
+    g = Grid(3, 2.0 * np.pi, 8)
+    for mode in np.ndindex(g.spatial_shape):
+        if mode == (0, 0, 0):
+            continue
+        modes = tuple(int(m) for m in g.mode_numbers[list(mode)])
+        for sigma in (1, -1):
+            phi = plane_wave(g, modes, sigma)
+            assert transversality_residual(SpectralField(g, phi.data)) <= TRANSVERSE_TOL
+            assert _rel(helicity_apply(phi), sigma * phi) < 1e-12, (modes, sigma)
 
 
 def test_plane_wave_zero_mode_rejected(grid3, grid1_small):

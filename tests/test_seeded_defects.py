@@ -13,6 +13,7 @@ boundary, or in the transversality-residual row, which measures its fields
 explicitly.  A spy planted the same way counts the measurements.
 """
 
+import re
 import sys
 from types import SimpleNamespace
 
@@ -167,27 +168,41 @@ def test_nan_in_synthesis_makes_check_exit_2(monkeypatch, capsys):
     assert "failed: momentum-amplitude-round-trip: nan" in capsys.readouterr().out
 
 
+def nan_at_one_3d_helicity_mode(original):
+    """helicity_apply with a NaN at one mode of every 3d output."""
+    def helicity_apply(field):
+        out = original(field)
+        if field.grid.dim != 3:
+            return out
+        data = fields.to_frequency(out).data.copy()
+        data[0, 1, 0, 0] = np.nan
+        planted = fields._trusted(out.grid, data, FREQUENCY, True)
+        return planted if out.domain == FREQUENCY else fields.to_position(planted)
+    return helicity_apply
+
+
 def test_nan_at_one_3d_helicity_mode_fails_operator_algebra(monkeypatch):
-    """Each row the NaN reaches must read NaN and fail.  The isomorphism
-    suite is not run: a state norm there turns NaN and is rejected with
-    ValueError, which is loud already."""
-    def make_defect(original):
-        def helicity_apply(field):
-            out = original(field)
-            if field.grid.dim != 3:
-                return out
-            data = fields.to_frequency(out).data.copy()
-            data[0, 1, 0, 0] = np.nan
-            planted = fields._trusted(out.grid, data, FREQUENCY, True)
-            return planted if out.domain == FREQUENCY else fields.to_position(planted)
-        return helicity_apply
-    plant(monkeypatch, "helicity_apply", make_defect)
+    """Each row the NaN reaches must read NaN and fail."""
+    plant(monkeypatch, "helicity_apply", nan_at_one_3d_helicity_mode)
     algebra = checks.suite_operator_algebra(GRID1, GRID3, n_fields=8)
     assert {"helicity-squared-3d", "curl-frequency-helicity-commutation",
             "projector-idempotence", "projector-annihilation",
             "projector-completeness-3d",
             "plane-wave-helicity-eigenvalue"} <= failed(algebra)
     assert all(np.isnan(c.value) for c in algebra.failures())
+
+
+def test_a_suite_that_raises_fails_and_check_still_prints_every_suite(monkeypatch, capsys):
+    """The NaN turns a state norm in the isomorphism suite NaN, and the
+    state rejects it with ValueError: that suite fails with one NaN row
+    naming the exception, the other suites still run, and check exits 2."""
+    plant(monkeypatch, "helicity_apply", nan_at_one_3d_helicity_mode)
+    assert cli.main(["check", "--grid-n", "256", "--n-fields", "4"]) == 2
+    out = capsys.readouterr().out
+    assert re.search(r"^isomorphism +1 +FAIL$", out, re.M)
+    assert "  failed: raised ValueError: state norm must be finite, got nan: nan" in out
+    assert len(re.findall(r"  (?:pass|FAIL)$", out, re.M)) == 10
+    assert "NUMERICAL VERIFICATION FAILED" in out
 
 
 def test_longitudinal_field_flagged_transverse_is_rejected():
