@@ -8,12 +8,13 @@ sample closest to failing (the largest against an upper bound, the
 smallest against a lower one), and a NaN sample fails its row.  A suite
 that raises fails with one NaN row naming the exception.
 
-The suites mirror the package's analysis pipeline: operator algebra on
-random band-limited fields, the LP/BB isomorphism, the two-path energy
-density, Parseval energy accounting, the six-panel truth table, the
-everywhere-positive energy floor, tail quantification, the vector-potential
-localized state, the antilocality and helicity-continuation witnesses, and
-determinism under repeated evaluation and time evolution.
+The suites mirror the package's analysis pipeline: operator algebra on the
+two helicity basis fields and random band-limited fields, the LP/BB
+isomorphism, the two-path energy density, Parseval energy accounting, the
+six-panel truth table, the everywhere-positive energy floor, tail
+quantification, the vector-potential localized state, the antilocality and
+helicity-continuation witnesses, and determinism under repeated evaluation
+and time evolution.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .grid import Grid
 from .locality import (PHYSICAL_FLOOR, _window_maxima, antilocality_witness,
                        helicity_scans, support_estimate, tail_exponent_fit,
                        vector_potential_localized_state)
-from .operators import (apply_frequency_power, curl, helicity_apply,
+from .operators import (_unit_k, apply_frequency_power, curl, helicity_apply,
                         helicity_parts, momentum_amplitudes, omega,
                         plane_wave, synthesize_from_amplitudes,
                         transversality_residual, transverse_project)
@@ -164,7 +165,12 @@ def narrowband_state(grid: Grid, k0: float, rel_bandwidth: float) -> LPState:
 
 def suite_operator_algebra(grid1: Grid, grid3: Grid, n_fields: int = 50,
                            seed: int = 7) -> SuiteResult:
-    """Transform unitarity and the multiplier-operator algebra."""
+    """Transform unitarity and the multiplier-operator algebra.
+
+    ``n_fields`` counts random fields: at most 50 for the 1d round trips,
+    20 for the 1d helicity rows and 8 for the 3d round trips and the
+    transversality residual.  The 3d algebra runs on eps_+ and eps_-.
+    """
     rng = np.random.default_rng(seed)
     tol_unitary, tol_algebra = 1e-12, 1e-10
 
@@ -181,33 +187,46 @@ def suite_operator_algebra(grid1: Grid, grid3: Grid, n_fields: int = 50,
                 _rel(to_frequency(to_position(f)), f)]
         parseval1.append(parseval_gap(grid1, pos, f))
 
-    rt3, parseval3, residual, lam_sq, comm = [], [], [], [], []
-    proj_idem, proj_annih, proj_complete = [], [], []
-    half_power, mom_rt, mom_parseval = [], [], []
-    for i in range(n_fields):
+    rt3, parseval3, residual = [], [], []
+    for _ in range(min(n_fields, 8)):
         f = random_band_limited(grid3, rng, transverse=True)
         residual.append(transversality_residual(f))
-        if i < 8:
-            pos = to_position(f)
-            rt3.append(_rel(to_position(to_frequency(pos)), pos))
-            parseval3.append(parseval_gap(grid3, pos, f))
-        lam = helicity_apply(f)
-        lam_sq.append(_rel(helicity_apply(lam), f))
-        cc = curl(f) * NATURAL.c
+        pos = to_position(f)
+        rt3.append(_rel(to_position(to_frequency(pos)), pos))
+        parseval3.append(parseval_gap(grid3, pos, f))
+
+    # The 3d algebra below is linear and diagonal in k, so checking it on the
+    # basis fields eps_+ and eps_- checks it at every nonzero mode, hence on
+    # every transverse field of the grid.
+    table = grid3.polarization_table
+    basis = [_trusted(grid3, table[i], FREQUENCY, True) for i in (0, 1)]
+    basis_lam, lam_sq, comm = [], [], []
+    half_power, mom_rt, mom_parseval = [], [], []
+    for sigma, e in zip((1, -1), basis):
+        lam = helicity_apply(e)
+        basis_lam.append(_rel(lam, sigma * e))
+        lam_sq.append(_rel(helicity_apply(lam), e))
+        cc = curl(e) * NATURAL.c
         comm += [_rel(cc, apply_frequency_power(lam, 1.0)),
-                 _rel(cc, helicity_apply(apply_frequency_power(f, 1.0)))]
-        pp, pm = helicity_parts(f)
-        pp_plus, pp_minus = helicity_parts(pp)
-        proj_idem.append(_rel(pp_plus, pp))
-        proj_annih.append(float(np.max(np.abs(pp_minus.data)))
-                          / float(np.max(np.abs(f.data))))
-        del pp_plus, pp_minus  # else alive through the next iteration's peak
-        proj_complete.append(_rel(pp + pm, f))
-        half = apply_frequency_power(apply_frequency_power(f, 0.5), 0.5)
-        half_power.append(_rel(half, apply_frequency_power(f, 1.0)))
-        amps = momentum_amplitudes(f)
-        mom_rt.append(_rel(to_frequency(synthesize_from_amplitudes(amps)), f))
-        mom_parseval.append(abs(amps.norm_squared() - l2_norm(f) ** 2) / l2_norm(f) ** 2)
+                 _rel(cc, helicity_apply(apply_frequency_power(e, 1.0)))]
+        half = apply_frequency_power(apply_frequency_power(e, 0.5), 0.5)
+        half_power.append(_rel(half, apply_frequency_power(e, 1.0)))
+        amps = momentum_amplitudes(e)
+        mom_rt.append(_rel(to_frequency(synthesize_from_amplitudes(amps)), e))
+        mom_parseval.append(abs(amps.norm_squared() - l2_norm(e) ** 2) / l2_norm(e) ** 2)
+
+    # The projector rows take both helicities at once.  Each is scaled by the
+    # input's peak: a part that should vanish has no peak to divide by.
+    both = basis[0] + basis[1]
+    peak = float(np.max(np.abs(both.data)))
+    pp, pm = helicity_parts(both)
+    pp_plus, pp_minus = helicity_parts(pp)
+    proj_idem = float(np.max(np.abs(pp_plus.data - pp.data))) / peak
+    proj_annih = float(np.max(np.abs(pp_minus.data))) / peak
+    proj_complete = float(np.max(np.abs((pp + pm).data - both.data))) / peak
+    # k^ at every mode, left unflagged: the projection must remove it whole.
+    unit_k = SpectralField(grid3, np.stack(np.broadcast_arrays(*_unit_k(grid3))), FREQUENCY)
+    proj_basis = _rel(transverse_project(both + unit_k), both)
 
     lam1, proj1 = [], []
     for _ in range(min(n_fields, 20)):
@@ -216,7 +235,6 @@ def suite_operator_algebra(grid1: Grid, grid3: Grid, n_fields: int = 50,
         pp, pm = helicity_parts(f)
         proj1.append(_rel(pp + pm, f))
 
-    table = grid3.polarization_table
     nz = grid3.k_magnitude > 0.0
     norms = np.sqrt(np.sum(np.abs(table[0]) ** 2, axis=0))
     pol_norm = float(np.max(np.abs(norms[nz] - 1.0)))
@@ -262,6 +280,8 @@ def suite_operator_algebra(grid1: Grid, grid3: Grid, n_fields: int = 50,
         _below("sign-multiplier-1d", sign_check, 1e-12),
         _below("momentum-amplitude-round-trip", mom_rt, tol_unitary),
         _below("momentum-amplitude-parseval", mom_parseval, tol_algebra),
+        _below("transverse-projector-basis", proj_basis, tol_algebra),
+        _below("basis-helicity-eigenvalue", basis_lam, tol_algebra),
     ])
 
 

@@ -135,7 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--pulse-length", type=float, default=1.0,
                        help="pulse length (default 1)")
     check.add_argument("--n-fields", type=int, default=50,
-                       help="random fields per corpus (default 50)")
+                       help="random fields per corpus, at most 50 for "
+                            "the 1d round trips, 20 for the 1d helicity rows "
+                            "and 8 in 3d; the 3d operator algebra always runs "
+                            "on the two helicity basis fields (default 50)")
     check.add_argument("--seed", type=int, default=7,
                        help="corpus seed (default 7)")
     check.add_argument("--floor", type=float, default=PHYSICAL_FLOOR,

@@ -13,12 +13,14 @@ grid the reduced model keeps a single scalar component and the helicity
 operator degenerates to the multiplier sign(k), so positive and negative
 wavevectors play the role of the two polarizations.
 
-Plane waves exist only at lattice modes, mode numbers in [-n/2, n/2), and
-take eps_sigma(k) from the grid's formula, bit for bit its table's column.
+Plane waves exist only at lattice modes, integer mode numbers in
+[-n/2, n/2), and take eps_sigma(k) from the grid's formula, bit for bit its
+table's column.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,11 +202,15 @@ def plane_wave(grid: Grid, mode_index, sigma: int = None) -> SpectralField:
     In three dimensions ``mode_index`` is an integer triple and ``sigma``
     (+1 or -1) selects the circular polarization, evaluated at this one mode
     without building the grid's table.  In one dimension ``mode_index`` is a
-    single integer and ``sigma`` is ignored.  A mode number outside
-    [-n/2, n/2) or a bad ``sigma`` raises ValueError; the zero mode carries
-    no propagation direction and raises ZeroWaveVectorError.
+    single integer and ``sigma`` is ignored.  A mode number that is not an
+    integer or lies outside [-n/2, n/2), or a bad ``sigma``, raises
+    ValueError; the zero mode carries no propagation direction and raises
+    ZeroWaveVectorError.
     """
-    modes = (int(mode_index),) if grid.dim == 1 else tuple(int(m) for m in mode_index)
+    try:
+        modes = tuple(map(operator.index, (mode_index,) if grid.dim == 1 else mode_index))
+    except TypeError:
+        raise ValueError(f"mode numbers must be integers, got {mode_index!r}") from None
     half = grid.n // 2
     if not all(-half <= m < half for m in modes):
         raise ValueError(f"mode numbers must lie in [-{half}, {half}), got {modes}")

@@ -19,7 +19,7 @@ import pytest
 
 from photonloc import run_all_checks, write_json
 
-REPORT_SHA256 = "f134f8d6e9d55adc093693a30c242b2aced6b920392fe4f395da30ebb8d1f2cd"
+REPORT_SHA256 = "1b73acea560d6f53e2f34e432de2b175ca17e9010cbab22aea51e98a198af3b4"
 
 CRITERIA = [
     ("01", "operator-algebra"),

@@ -273,13 +273,23 @@ def test_plane_wave_polarization_is_the_table_column_bit_for_bit():
 @pytest.mark.parametrize("dim, mode, sigma", [
     (1, 4, None), (1, 5, None), (1, -5, None),
     (3, (4, 1, 0), 1), (3, (1, -5, 0), 1), (3, (0, 0, 5), -1),
-    (3, (1, 0, 0), 0)])
+    (3, (1, 0, 0), 0),
+    (1, 1.5, None), (1, np.float64(1.0), None), (3, (1.5, 0, 0), 1),
+    (3, (1, 0, np.float64(2.0)), -1)])
 def test_plane_wave_rejects_an_off_lattice_mode_or_a_bad_sigma(dim, mode, sigma):
     """On an n = 8 grid mode numbers lie in [-4, 4): +n/2 and beyond would
     alias to the opposite helicity, and a 3d wave there is not transverse
-    on the grid."""
+    on the grid.  A mode number must be an integer: int() would truncate
+    1.5 to the neighbouring lattice mode 1."""
     with pytest.raises(ValueError):
         plane_wave(Grid(dim, 2.0 * np.pi, 8), mode, sigma)
+
+
+def test_plane_wave_takes_numpy_integer_mode_numbers():
+    g1, g3 = Grid(1, 2.0 * np.pi, 8), Grid(3, 2.0 * np.pi, 8)
+    assert np.array_equal(plane_wave(g1, np.int64(-3)).data, plane_wave(g1, -3).data)
+    assert np.array_equal(plane_wave(g3, np.array([1, -2, 3]), 1).data,
+                          plane_wave(g3, (1, -2, 3), 1).data)
 
 
 def test_every_lattice_plane_wave_is_measured_transverse_and_a_helicity_eigenfield():

@@ -214,7 +214,8 @@ def test_longitudinal_field_flagged_transverse_is_rejected():
 def test_leaky_transverse_project_fails_the_residual_row(monkeypatch):
     """A projection that keeps 1e-6 of the longitudinal part but still
     flags its output transverse: no consumer measures the flagged field
-    again, so the transversality-residual row has to catch it."""
+    again, so the transversality-residual row has to catch it, and the
+    projection of eps_+ + eps_- + k^ keeps 1e-6 of k^."""
     def make_defect(original):
         def transverse_project(field):
             out = original(field)
@@ -223,9 +224,61 @@ def test_leaky_transverse_project_fails_the_residual_row(monkeypatch):
         return transverse_project
     plant(monkeypatch, "transverse_project", make_defect)
     algebra, isomorphism = operator_suites()
-    assert {"transversality-residual", "projector-idempotence",
-            "helicity-squared-3d"} <= failed(algebra)
+    assert {"transversality-residual", "transverse-projector-basis"} <= failed(algebra)
     assert "em-cross-path-3d" in failed(isomorphism)
+
+
+def above_half_nyquist(grid: Grid) -> np.ndarray:
+    """The 3d modes above the band of the random corpus, where every
+    random_band_limited field is empty."""
+    return grid.k_magnitude > checks.band_limit(grid)
+
+
+def test_helicity_halved_above_half_nyquist_fails_the_basis_rows(monkeypatch):
+    """The random corpus is empty above half the Nyquist wavevector, so only
+    the basis fields, which fill every mode, can see this defect."""
+    def make_defect(original):
+        def helicity_apply(field):
+            out = original(field)
+            if field.grid.dim != 3:
+                return out
+            data = fields.to_frequency(out).data.copy()
+            data[:, above_half_nyquist(field.grid)] *= 0.5
+            planted = fields._trusted(out.grid, data, FREQUENCY, True)
+            return planted if out.domain == FREQUENCY else fields.to_position(planted)
+        return helicity_apply
+    plant(monkeypatch, "helicity_apply", make_defect)
+    algebra = checks.suite_operator_algebra(GRID1, GRID3, n_fields=8)
+    assert {"helicity-squared-3d", "curl-frequency-helicity-commutation",
+            "projector-idempotence", "projector-annihilation",
+            "basis-helicity-eigenvalue"} <= failed(algebra)
+
+
+def test_transverse_project_skipping_high_modes_fails_the_basis_row(monkeypatch):
+    """A projection that returns every mode above half the Nyquist
+    wavevector untouched, longitudinal part included."""
+    def make_defect(original):
+        def transverse_project(field):
+            out = fields.to_frequency(original(field))
+            data = out.data.copy()
+            high = above_half_nyquist(field.grid)
+            data[:, high] = fields.to_frequency(field).data[:, high]
+            planted = fields._trusted(out.grid, data, FREQUENCY, True)
+            return planted if field.is_frequency else fields.to_position(planted)
+        return transverse_project
+    plant(monkeypatch, "transverse_project", make_defect)
+    algebra = checks.suite_operator_algebra(GRID1, GRID3, n_fields=8)
+    assert "transverse-projector-basis" in failed(algebra)
+
+
+def test_swapped_polarization_table_fails_the_basis_eigenvalue_row(monkeypatch):
+    """eps_+ and eps_- swapped: analysis and synthesis still invert each
+    other, but L eps_+ = -eps_+."""
+    original = Grid.polarization_table.func
+    monkeypatch.setattr(Grid, "polarization_table", property(
+        lambda grid: original(grid)[::-1]))
+    algebra = checks.suite_operator_algebra(GRID1, GRID3, n_fields=8)
+    assert "basis-helicity-eigenvalue" in failed(algebra)
 
 
 def spy_on_measurements(monkeypatch) -> list:
