@@ -15,10 +15,20 @@ six-panel truth table, the everywhere-positive energy floor, tail
 quantification, the vector-potential localized state, the antilocality and
 helicity-continuation witnesses, and determinism under repeated evaluation
 and time evolution.
+
+The random corpora are drawn in k-space, at the modes they keep: one band
+per grid, the nonzero modes up to half the Nyquist wavevector and off every
+Nyquist plane, computed once.  A transverse random field is drawn as two
+helicity amplitudes on the grid's polarization table and flagged without
+a projection or a measurement; a smooth real field costs one inverse
+transform.  The operator-algebra suite projects its 3d random fields
+itself, so its transversality-residual row measures transverse_project on
+random input.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
@@ -30,7 +40,7 @@ from .energy import DetectorVolume, EnergyDensityMap, energy_density, knight_loc
 from .errors import PhotonlocError
 from .fields import (FREQUENCY, POSITION, SpectralField, _trusted, l2_inner, l2_norm,
                      magnitude, to_frequency, to_position)
-from .grid import Grid
+from .grid import Grid, _readonly
 from .locality import (PHYSICAL_FLOOR, _window_maxima, antilocality_witness,
                        helicity_scans, support_estimate, tail_exponent_fit,
                        vector_potential_localized_state)
@@ -107,35 +117,79 @@ def band_limit(grid: Grid) -> float:
     return 0.5 * np.pi * grid.n / grid.length
 
 
+def _band(grid: Grid) -> np.ndarray:
+    """The modes a random field fills, as flat indices into the grid's
+    spatial lattice, ascending: nonzero, |k| <= band_limit, and on no
+    Nyquist plane, whose modes have no -k partner (at half the Nyquist
+    wavevector the planes lie above the band anyway)."""
+    return _band_indices(grid.dim, grid.length, grid.n, band_limit(grid))
+
+
+@functools.lru_cache(maxsize=4)
+def _band_indices(dim: int, length: float, n: int, limit: float) -> np.ndarray:
+    # Keyed on the grid's values: a cached Grid would keep its k-space
+    # tables alive after the caller has dropped it.
+    kmag = Grid(dim, length, n).k_magnitude
+    keep = (kmag > 0.0) & (kmag <= limit)
+    for axis in range(dim):
+        keep[(slice(None),) * axis + (n // 2,)] = False
+    return _readonly(np.flatnonzero(keep))
+
+
+def _complex_normals(rng, shape) -> np.ndarray:
+    """Complex normals, E|z|^2 = 2: every real part first, then every
+    imaginary part."""
+    z = np.empty(shape, np.complex128)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    return z
+
+
+def _in_band(grid: Grid, band: np.ndarray, values) -> np.ndarray:
+    """Field data holding ``values`` (one row per component) at the band's
+    modes and zero elsewhere."""
+    data = np.zeros(grid.field_shape, np.complex128)
+    data.reshape(-1, grid.n ** grid.dim)[:, band] = values
+    return data
+
+
 def random_band_limited(grid: Grid, rng, transverse: bool = False) -> SpectralField:
-    """Zero-mean complex field with white spectrum below the band limit."""
-    shape = grid.field_shape
-    data = np.empty(shape, np.complex128)
-    data.real = rng.standard_normal(shape)
-    data.imag = rng.standard_normal(shape)
-    data *= (grid.k_magnitude > 0.0) & (grid.k_magnitude <= band_limit(grid))
-    f = SpectralField(grid, data, FREQUENCY)
+    """Zero-mean complex field with white spectrum in the band.
+
+    Each component holds independent complex normals at the band's modes
+    and zero elsewhere.  A transverse 3d field is z_+ eps_+(k) + z_- eps_-(k)
+    on the grid's polarization table, with z_+ then z_- drawn like two
+    components: the isotropic transverse complex Gaussian (E|v|^2 = 4 per
+    mode) that projecting three drawn components would give, from two
+    thirds of the normals.  It is flagged transverse without measuring.
+    """
+    band = _band(grid)
     if transverse and grid.dim == 3:
-        f = transverse_project(f)
-    return f
+        z = _complex_normals(rng, (2, band.size))
+        eps = grid.polarization_table.reshape(2, 3, -1)[:, :, band]
+        return _trusted(grid, _in_band(grid, band, eps[0] * z[0] + eps[1] * z[1]),
+                        FREQUENCY, True)
+    values = _complex_normals(rng, (3 if grid.dim == 3 else 1, band.size))
+    return SpectralField(grid, _in_band(grid, band, values), FREQUENCY)
 
 
 def random_real_smooth(grid: Grid, rng, transverse: bool = False) -> SpectralField:
-    """Real, zero-mean, spectrally smooth position-domain field."""
-    noise = SpectralField(grid, rng.standard_normal(grid.field_shape))
-    f = to_frequency(noise)
-    envelope = np.exp(-((grid.k_magnitude / (0.15 * band_limit(grid))) ** 2))
-    data = f.data * envelope
-    data[grid.zero_mode_index()] = 0.0
+    """Real, zero-mean, spectrally smooth position-domain field.
+
+    Complex normals at the band's modes under the envelope
+    exp(-(|k| / 0.15 k_b)**2), 5e-20 at the band limit k_b, projected
+    transverse in the frequency domain when asked in 3d, then one inverse
+    transform.  The band holds the -k partner of each of its modes, so
+    the real part keeps the transversality of the complex field.
+    """
+    band = _band(grid)
+    kmag = grid.k_magnitude.reshape(-1)[band]
+    envelope = np.exp(-((kmag / (0.15 * band_limit(grid))) ** 2))
+    values = _complex_normals(rng, (3 if grid.dim == 3 else 1, band.size)) * envelope
+    f = SpectralField(grid, _in_band(grid, band, values), FREQUENCY)
     if transverse and grid.dim == 3:
-        # The real part taken below is transverse only if the Nyquist
-        # planes, whose modes have no -k partner, are empty.
-        h = grid.n // 2
-        data[:, h] = data[:, :, h] = data[:, :, :, h] = 0.0
-        out = transverse_project(SpectralField(grid, data, FREQUENCY))
-    else:
-        out = SpectralField(grid, data, FREQUENCY)
-    pos = to_position(out)
+        f = transverse_project(f)
+    pos = to_position(f)
     return _trusted(grid, pos.data.real, POSITION, pos.transverse)
 
 
@@ -189,7 +243,7 @@ def suite_operator_algebra(grid1: Grid, grid3: Grid, n_fields: int = 50,
 
     rt3, parseval3, residual = [], [], []
     for _ in range(min(n_fields, 8)):
-        f = random_band_limited(grid3, rng, transverse=True)
+        f = transverse_project(random_band_limited(grid3, rng))
         residual.append(transversality_residual(f))
         pos = to_position(f)
         rt3.append(_rel(to_position(to_frequency(pos)), pos))
@@ -267,6 +321,8 @@ def suite_operator_algebra(grid1: Grid, grid3: Grid, n_fields: int = 50,
         _below("curl-frequency-helicity-commutation", comm, tol_algebra),
         _below("projector-idempotence", proj_idem, tol_algebra),
         _below("projector-annihilation", proj_annih, tol_algebra),
+        # The completeness rows test only the arithmetic of the split: both
+        # parts come from one L v, and (v + Lv)/2 + (v - Lv)/2 = v for any L.
         _below("projector-completeness-3d", proj_complete, tol_algebra),
         _below("projector-completeness-1d", proj1, tol_algebra),
         _below("half-power-composition", half_power, 1e-11),

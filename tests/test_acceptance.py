@@ -19,7 +19,7 @@ import pytest
 
 from photonloc import run_all_checks, write_json
 
-REPORT_SHA256 = "1b73acea560d6f53e2f34e432de2b175ca17e9010cbab22aea51e98a198af3b4"
+REPORT_SHA256 = "8aced9e7eee18f64a08d894d94f0bb5f273bf11b25d82c83c8f33c42cb4fa502"
 
 CRITERIA = [
     ("01", "operator-algebra"),

@@ -7,7 +7,9 @@ from photonloc.checks import (band_limit, narrowband_state,
                               random_band_limited, random_compact_bump,
                               random_real_smooth, run_all_checks)
 from photonloc.fields import zero_mode_amplitude
-from photonloc.operators import transversality_residual
+from photonloc.operators import momentum_amplitudes, transversality_residual
+
+from test_seeded_defects import plant, spy_on_measurements  # noqa: E402
 
 
 def test_suite_result_semantics():
@@ -75,22 +77,130 @@ def test_random_band_limited_properties(grid1, grid3, rng):
     assert zero_mode_amplitude(to_frequency(g)) == 0.0
 
 
-@pytest.mark.parametrize("g", [Grid(1, 16.0, 2048), Grid(3, 8.0, 16), Grid(3, 5.0, 6)],
-                         ids=repr)
-def test_random_band_limited_keeps_the_bytes_of_the_three_temporary_draw(g):
-    # The masked modes hold zeros of both signs; they must keep them.
+def _band_modes(g) -> list:
+    """The band written out: every spatial index, in C order, of a nonzero
+    mode with |k| <= band_limit and no mode number -n/2."""
+    half = g.n // 2
+    return [m for m in np.ndindex(g.spatial_shape)
+            if any(m) and half not in m and g.k_magnitude[m] <= band_limit(g)]
+
+
+def _reference_draw(g, seed, transverse=False) -> np.ndarray:
+    """random_band_limited, one mode at a time: every real part, then every
+    imaginary part, one row per component (or per helicity amplitude)."""
+    rng = np.random.default_rng(seed)
+    modes = _band_modes(g)
+    helical = transverse and g.dim == 3
+    rows = 2 if helical else (3 if g.dim == 3 else 1)
+    re = rng.standard_normal((rows, len(modes)))
+    im = rng.standard_normal((rows, len(modes)))
+    out = np.zeros(g.field_shape, complex)
+    for j, m in enumerate(modes):
+        z = [complex(re[r, j], im[r, j]) for r in range(rows)]
+        if g.dim == 1:
+            out[m] = z[0]
+        elif helical:
+            eps = g.polarization_table
+            for c in range(3):
+                out[(c,) + m] = eps[(0, c) + m] * z[0] + eps[(1, c) + m] * z[1]
+        else:
+            for c in range(3):
+                out[(c,) + m] = z[c]
+    return out
+
+
+DRAW_GRIDS = [Grid(1, 16.0, 2048), Grid(3, 8.0, 16), Grid(3, 5.0, 6)]
+
+
+@pytest.mark.parametrize("g", DRAW_GRIDS, ids=repr)
+def test_random_band_limited_matches_a_mode_by_mode_reference(g):
     for seed in range(3):
-        draw = np.random.default_rng(seed)
-        old = draw.standard_normal(g.field_shape) + 1j * draw.standard_normal(g.field_shape)
-        old = old * ((g.k_magnitude > 0.0) & (g.k_magnitude <= band_limit(g)))
         new = random_band_limited(g, np.random.default_rng(seed)).data
-        assert new.tobytes() == old.tobytes()
+        assert new.tobytes() == _reference_draw(g, seed).tobytes()
+        if g.dim == 3:
+            # numpy's vector complex product may fuse multiply-adds, so the
+            # helicity sum is compared to round-off, not bit for bit.
+            new = random_band_limited(g, np.random.default_rng(seed), transverse=True).data
+            ref = _reference_draw(g, seed, transverse=True)
+            assert np.max(np.abs(new - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_momentum_amplitudes_of_a_transverse_draw_are_the_drawn_pair(grid3):
+    f = random_band_limited(grid3, np.random.default_rng(5), transverse=True)
+    amps = momentum_amplitudes(f)
+    rng = np.random.default_rng(5)
+    modes = tuple(np.array(_band_modes(grid3)).T)
+    re, im = rng.standard_normal((2, 2, len(modes[0])))
+    inside = np.zeros(grid3.spatial_shape, bool)
+    inside[modes] = True
+    for z, drawn in zip((amps.plus, amps.minus), re + 1j * im):
+        assert np.max(np.abs(z[modes] - drawn)) <= 1e-14 * np.max(np.abs(drawn))
+        assert np.max(np.abs(z[~inside])) == 0.0
+
+
+@pytest.mark.parametrize("limit", ["default", "infinite"])
+@pytest.mark.parametrize("g", DRAW_GRIDS, ids=repr)
+@pytest.mark.parametrize("transverse", [False, True])
+@pytest.mark.parametrize("make", [random_band_limited, random_real_smooth],
+                         ids=lambda f: f.__name__)
+def test_random_fields_are_empty_at_k0_above_the_band_and_on_every_nyquist_plane(
+        make, transverse, g, limit, monkeypatch):
+    if limit == "infinite":
+        monkeypatch.setattr(checks, "band_limit", lambda grid: np.inf)
+    data = to_frequency(make(g, np.random.default_rng(2), transverse)).data
+    outside = (g.k_magnitude == 0.0) | (g.k_magnitude > checks.band_limit(g))
+    for axis in range(g.dim):
+        outside[(slice(None),) * axis + (g.n // 2,)] = True
+    # A real field's frequency image carries the forward transform's round-off.
+    tol = 0.0 if make is random_band_limited else 1e-14 * np.max(np.abs(data))
+    assert np.max(np.abs(data[..., outside])) <= tol
+    assert np.max(np.abs(data[..., ~outside])) > 0.0
+
+
+@pytest.mark.parametrize("make", [random_band_limited, random_real_smooth],
+                         ids=lambda f: f.__name__)
+def test_a_transverse_draw_is_flagged_without_measuring(make, grid3, rng, monkeypatch):
+    calls = spy_on_measurements(monkeypatch)
+    f = make(grid3, rng, transverse=True)
+    assert f.transverse and calls == []
+    assert transversality_residual(f) <= 1e-12
+
+
+@pytest.mark.parametrize("make", [random_band_limited, random_real_smooth],
+                         ids=lambda f: f.__name__)
+def test_random_fields_transform_and_project_only_what_they_must(make, grid1_small, grid3,
+                                                            transform_counts, monkeypatch):
+    projections = []
+
+    def spy(original):
+        def transverse_project(field):
+            projections.append(field)
+            return original(field)
+        return transverse_project
+    plant(monkeypatch, "transverse_project", spy)
+    for g, transverse in ((grid1_small, False), (grid1_small, True),
+                          (grid3, False), (grid3, True)):
+        transform_counts.update(forward=0, inverse=0)
+        projections.clear()
+        make(g, np.random.default_rng(0), transverse)
+        smooth = make is random_real_smooth
+        assert transform_counts == {"forward": 0, "inverse": int(smooth)}
+        assert len(projections) == int(smooth and transverse and g.dim == 3)
 
 
 def test_random_real_smooth_is_real_zero_mean(grid1, rng):
     f = to_position(random_real_smooth(grid1, rng))
     assert np.max(np.abs(f.data.imag)) == 0.0
     assert abs(np.mean(f.data.real)) < 1e-13 * np.max(np.abs(f.data.real))
+    assert l2_norm(f) > 0.0
+
+
+@pytest.mark.parametrize("transverse", [False, True])
+def test_random_real_smooth_is_real_zero_mean_in_3d(grid3, rng, transverse):
+    f = random_real_smooth(grid3, rng, transverse)
+    assert f.is_position and np.max(np.abs(f.data.imag)) == 0.0
+    mean = np.mean(f.data.real, axis=(1, 2, 3))
+    assert np.max(np.abs(mean)) < 1e-13 * np.max(np.abs(f.data.real))
     assert l2_norm(f) > 0.0
 
 
