@@ -13,6 +13,12 @@ All position-space tails on a periodic grid are eventually contaminated by
 periodic images, so every fit window is required to stay inside the inner
 90% of the half-domain and callers are expected to enlarge the box, not
 the window, when they need cleaner asymptotics.
+
+The tail fit groups the window's samples by exact radius once.  Its search
+for a stretched exponent fits the per-radius means of log y, weighted by
+the square roots of the counts, which has the same minimizer as a search
+on every sample; only the chosen exponent and the power law are fitted on
+every sample.
 """
 
 from __future__ import annotations
@@ -112,25 +118,37 @@ def _fit_power(r: np.ndarray, logy: np.ndarray, ss_tot: float):
     return {"exponent": float(coef[0]), "amplitude": float(np.exp(coef[1]))}, r2
 
 
-def _fit_stretched(r: np.ndarray, logy: np.ndarray, ss_tot: float):
+def _fit_stretched(r: np.ndarray, logy: np.ndarray, ss_tot: float,
+                   radii: np.ndarray, inverse: np.ndarray, counts: np.ndarray):
     """log y = log B - A r**gamma, gamma found by nested grid refinement.
-    Every trial overwrites the first column of one design matrix."""
-    design = np.ones((r.size, 2))
 
-    def trial(gamma):
-        design[:, 0] = r ** gamma
-        return _linear_fit(design, logy, ss_tot)
+    The search fits the per-radius means of log y, each row weighted by the
+    square root of its radius's sample count.  The samples' residual sum of
+    squares is that fit's plus the spread of log y within each radius,
+    which no gamma changes, so both have the same minimizer.  Every trial
+    overwrites the first column of one small design matrix; the chosen
+    gamma is then fitted once on all samples."""
+    weight = np.sqrt(counts)
+    design = np.empty((radii.size, 2))
+    design[:, 1] = weight
+    target = weight * np.bincount(inverse, weights=logy) / counts
+
+    def trial_ss(gamma):
+        design[:, 0] = weight * radii ** gamma
+        return _linear_fit(design, target, ss_tot)[2]
 
     lo, hi, step = 0.1, 3.0, 0.05
     best = None
     for _ in range(3):
         gammas = np.arange(lo, hi + 0.5 * step, step)
         for g in gammas:
-            coef, r2, ss = trial(g)
-            if best is None or ss < best[3]:
-                best = (float(g), coef, r2, ss)
+            ss = trial_ss(g)
+            if best is None or ss < best[1]:
+                best = (float(g), ss)
         lo, hi, step = max(0.01, best[0] - step), best[0] + step, step / 10.0
-    gamma, coef, r2, _ = best
+    gamma = best[0]
+    coef, r2, _ = _linear_fit(np.column_stack([r ** gamma, np.ones_like(r)]),
+                              logy, ss_tot)
     return {"decay_rate": float(-coef[0]), "gamma": gamma,
             "amplitude": float(np.exp(coef[1]))}, r2
 
@@ -141,7 +159,8 @@ def tail_exponent_fit(emap: EnergyDensityMap, window: tuple,
 
     The window must stay out of the wrap-around zone (the outer 10% of the
     half-domain) where periodic images dominate; widen the box rather than
-    the window if the fit needs more reach.
+    the window if the fit needs more reach.  A NaN or infinite sample in
+    the window raises ValueError.
     """
     if model not in ("auto", "power", "stretched"):
         raise ValueError(f"unknown tail model {model!r}")
@@ -155,10 +174,15 @@ def tail_exponent_fit(emap: EnergyDensityMap, window: tuple,
             f"{WRAP_FRACTION * half:.4g}; enlarge the domain instead")
 
     rad = emap.grid.radius
-    mask = (rad >= r1) & (rad <= r2) & (emap.values > 0.0)
-    r = rad[mask].ravel()
-    y = emap.values[mask].ravel()
-    if r.size < 8 or np.unique(r).size < 4:
+    inside = (rad >= r1) & (rad <= r2)
+    vals = emap.values[inside]
+    if not np.isfinite(vals).all():
+        raise ValueError(f"energy map has a NaN or infinite sample in [{r1}, {r2}]")
+    positive = vals > 0.0
+    r = rad[inside][positive]
+    y = vals[positive]
+    radii, inverse, counts = np.unique(r, return_inverse=True, return_counts=True)
+    if r.size < 8 or radii.size < 4:
         raise InsufficientWindowError(
             f"only {r.size} usable samples in [{r1}, {r2}]")
     logy = np.log(y)
@@ -168,7 +192,7 @@ def tail_exponent_fit(emap: EnergyDensityMap, window: tuple,
     if model in ("auto", "power"):
         fits["power"] = _fit_power(r, logy, ss_tot)
     if model in ("auto", "stretched"):
-        fits["stretched"] = _fit_stretched(r, logy, ss_tot)
+        fits["stretched"] = _fit_stretched(r, logy, ss_tot, radii, inverse, counts)
     name = max(fits, key=lambda m: fits[m][1])
     params, r_squared = fits[name]
     return TailFit(name, params, float(r_squared), (r1, r2), int(r.size))

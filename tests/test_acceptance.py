@@ -9,7 +9,8 @@ fields per corpus.
 
 The same run also pins the bytes of the report that ``photonloc check
 --format json`` writes at these defaults.  Like the golden files, the pin
-holds for numpy 2.4.6 with its bundled pocketfft on x86-64.  A change that
+holds for numpy 2.4.6 with its bundled pocketfft on an x86-64 CPU where
+numpy dispatches its AVX512 kernels.  A change that
 alters the report's bytes updates ``REPORT_SHA256`` and says why.
 """
 
@@ -19,7 +20,7 @@ import pytest
 
 from photonloc import run_all_checks, write_json
 
-REPORT_SHA256 = "8aced9e7eee18f64a08d894d94f0bb5f273bf11b25d82c83c8f33c42cb4fa502"
+REPORT_SHA256 = "d37f686a46800166556c744d8edcf3914435edcc3e41c8788c65eaf88634a799"
 
 CRITERIA = [
     ("01", "operator-algebra"),

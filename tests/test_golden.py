@@ -6,9 +6,12 @@ and compares every file it writes, byte for byte, with its copy under
 case passing; a change meant to alter an output regenerates only the golden
 files concerned, and their diff is the record of what changed.
 
-The bytes are pinned to numpy 2.4.6 with its bundled pocketfft on x86-64.
-Another numpy version, FFT backend or CPU may round a last bit differently,
-and the test then fails: there is no tolerance and no skip.
+The bytes are pinned to numpy 2.4.6 with its bundled pocketfft on an
+x86-64 CPU where numpy dispatches its AVX512 (X86_V4) kernels: their fused
+multiply-adds round a complex product differently from the scalar loop, so
+a CPU with a lower feature level may differ in a last bit even with the
+same numpy.  Another numpy version, FFT backend or CPU may round a last bit
+differently, and the test then fails: there is no tolerance and no skip.
 
 The inputs are built here: the 1d states are the lp-compact and bb-compact
 states that ``demo-fig2-csv`` saves, and the 3d ones are 16^3 LP and BB
@@ -63,10 +66,11 @@ ALIASES = {
 }
 
 
-def _state_3d(representation: str):
-    """A 16^3 state on a box of 16: the curl of a Gaussian vector potential
-    whose three components sit at slightly different centres."""
-    grid = Grid(3, 16.0, 16)
+def _state_3d(representation: str, n: int = 16):
+    """An n^3 state on a box of 16 (16^3 by default): the curl of a Gaussian
+    vector potential whose three components sit at slightly different
+    centres."""
+    grid = Grid(3, 16.0, n)
     x = grid.axis
     centres = ((0.5, 0.0, 0.0), (0.0, -0.5, 0.0), (0.0, 0.0, 0.25))
     potential = np.stack([

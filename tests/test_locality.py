@@ -11,10 +11,14 @@ from photonloc import (DetectorVolume, EnergyDensityMap, Grid, LPState,
                        plane_wave, sin2_profile, strip_zero_mode,
                        support_estimate, tail_exponent_fit, to_frequency,
                        to_position, vector_potential_localized_state)
+from photonloc import locality
 from photonloc.checks import random_band_limited
 from photonloc.errors import (InsufficientWindowError, NotEigenfieldError,
                               SupportError, VolumeOutOfDomainError,
                               ZeroStateError)
+from photonloc.locality import TailFit
+
+from test_golden import _state_3d  # noqa: E402
 
 
 # ----------------------------------------------------------------- support
@@ -73,27 +77,35 @@ def _synthetic_map(grid, values):
     return EnergyDensityMap(grid, values, 0.0)
 
 
-def test_tail_fit_recovers_power_law():
-    g = Grid(1, 64.0, 4096)
-    r = g.radius
-    vals = np.where(r > 0, np.maximum(r, 1e-9) ** -3.0, 0.0)
-    fit = tail_exponent_fit(_synthetic_map(g, vals), (1.0, 25.0))
+def _power_map(grid):
+    return _synthetic_map(grid, np.maximum(grid.radius, 1e-9) ** -3.0)
+
+
+def _stretched_map(grid, gamma):
+    return _synthetic_map(grid, np.exp(-2.0 * grid.radius ** gamma))
+
+
+# In 3d each radius holds many samples; in 1d it holds two.
+SYNTHETIC_GRIDS = [Grid(1, 64.0, 4096), Grid(3, 64.0, 32)]
+
+
+@pytest.mark.parametrize("g", SYNTHETIC_GRIDS, ids=["1d", "3d"])
+def test_tail_fit_recovers_power_law(g):
+    fit = tail_exponent_fit(_power_map(g), (1.0, 25.0))
     assert fit.model == "power"
     assert fit.params["exponent"] == pytest.approx(-3.0, abs=0.02)
     assert fit.r_squared > 0.999
     assert fit.n_points >= 8
 
 
-def test_tail_fit_recovers_stretched_exponential():
-    g = Grid(1, 64.0, 4096)
-    r = g.radius
-    vals = np.exp(-2.0 * r ** 0.7)
-    fit = tail_exponent_fit(_synthetic_map(g, vals), (1.0, 25.0))
+@pytest.mark.parametrize("g", SYNTHETIC_GRIDS, ids=["1d", "3d"])
+def test_tail_fit_recovers_stretched_exponential(g):
+    emap = _stretched_map(g, 0.7)
+    fit = tail_exponent_fit(emap, (1.0, 25.0))
     assert fit.model == "stretched"
     assert fit.params["gamma"] == pytest.approx(0.7, abs=0.05)
     assert fit.params["decay_rate"] == pytest.approx(2.0, abs=0.1)
-    forced = tail_exponent_fit(_synthetic_map(g, vals), (1.0, 25.0),
-                               model="stretched")
+    forced = tail_exponent_fit(emap, (1.0, 25.0), model="stretched")
     assert forced.params["gamma"] == pytest.approx(0.7, abs=0.05)
 
 
@@ -127,6 +139,112 @@ def test_tail_fit_window_guards():
         tail_exponent_fit(emap, (2.0, 2.001))
     with pytest.raises(ValueError):
         tail_exponent_fit(emap, (2.0, 6.0), model="exp")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tail_fit_rejects_a_non_finite_sample_in_the_window(bad):
+    g = Grid(1, 64.0, 4096)
+    vals = np.maximum(g.radius, 1e-9) ** -3.0
+    vals[np.argmin(np.abs(g.axis - 5.0))] = bad
+    for model in ("auto", "power", "stretched"):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            tail_exponent_fit(_synthetic_map(g, vals), (1.0, 25.0), model=model)
+
+
+def _per_sample_tail_fit(emap, window, model):
+    """The reference search: every trial gamma is fitted on every sample in
+    the window, and the winning trial's coefficients are reported."""
+    r1, r2 = window
+    rad = emap.grid.radius
+    mask = (rad >= r1) & (rad <= r2) & (emap.values > 0.0)
+    r = rad[mask]
+    logy = np.log(emap.values[mask])
+    ss_tot = float(np.sum((logy - logy.mean()) ** 2))
+    fits = {}
+    if model in ("auto", "power"):
+        fits["power"] = locality._fit_power(r, logy, ss_tot)
+    if model in ("auto", "stretched"):
+        design = np.ones((r.size, 2))
+        lo, hi, step = 0.1, 3.0, 0.05
+        best = None
+        for _ in range(3):
+            for g in np.arange(lo, hi + 0.5 * step, step):
+                design[:, 0] = r ** g
+                coef, r_squared, ss = locality._linear_fit(design, logy, ss_tot)
+                if best is None or ss < best[3]:
+                    best = (float(g), coef, r_squared, ss)
+            lo, hi, step = max(0.01, best[0] - step), best[0] + step, step / 10.0
+        gamma, coef, r_squared, _ = best
+        fits["stretched"] = ({"decay_rate": float(-coef[0]), "gamma": gamma,
+                              "amplitude": float(np.exp(coef[1]))}, r_squared)
+    name = max(fits, key=lambda m: fits[m][1])
+    params, r_squared = fits[name]
+    return TailFit(name, params, float(r_squared), (r1, r2), int(r.size))
+
+
+def _residual_maps():
+    """Maps whose best fits leave a nonzero residual, with their windows."""
+    maps = {f"pulse-{length:g}-{n}": (energy_density(make_lp_compact(Grid(1, length, n), 1.0)),
+                                      (2.0, 6.0))
+            for length, n in ((16.0, 4096), (128.0, 4096), (128.0, 32768))}
+    for kind in ("lp", "bb"):
+        maps[f"{kind}-32"] = (energy_density(_state_3d(kind, 32)), (2.0, 6.0))
+    return maps
+
+
+@pytest.fixture(scope="module")
+def residual_maps():
+    return _residual_maps()
+
+
+@pytest.mark.parametrize("name", ["pulse-16-4096", "pulse-128-4096", "pulse-128-32768",
+                                  "lp-32", "bb-32"])
+@pytest.mark.parametrize("model", ["auto", "stretched"])
+def test_grouped_search_matches_the_per_sample_search_bit_for_bit(residual_maps, name, model):
+    emap, window = residual_maps[name]
+    fit = tail_exponent_fit(emap, window, model=model)
+    assert fit.r_squared < 1.0
+    assert dataclasses.astuple(fit) == dataclasses.astuple(
+        _per_sample_tail_fit(emap, window, model))
+
+
+@pytest.mark.parametrize("emap, window", [
+    (_stretched_map(Grid(1, 16.0, 4096), 0.5), (2.0, 6.0)),
+    (_stretched_map(SYNTHETIC_GRIDS[0], 0.7), (1.0, 25.0)),
+    (_stretched_map(SYNTHETIC_GRIDS[1], 0.7), (1.0, 25.0)),
+], ids=["1d-sqrt", "1d-0.7", "3d-0.7"])
+def test_grouped_search_matches_the_per_sample_search_on_exact_fits(emap, window):
+    # Every trial near the true gamma fits to round-off, so the two searches
+    # may pick neighbouring trials of the final round.
+    fit = tail_exponent_fit(emap, window)
+    ref = _per_sample_tail_fit(emap, window, "auto")
+    assert fit.model == ref.model == "stretched"
+    assert fit.n_points == ref.n_points
+    assert abs(fit.params["gamma"] - ref.params["gamma"]) <= 5e-4
+    for key, value in ref.params.items():
+        assert fit.params[key] == pytest.approx(value, rel=0.0, abs=1e-12)
+
+
+def test_an_auto_fit_solves_on_every_sample_at_most_twice(residual_maps, monkeypatch):
+    rows = []
+    original = np.linalg.lstsq
+
+    def lstsq(a, b, *args, **kwargs):
+        rows.append(a.shape[0])
+        return original(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    cases = list(residual_maps.values()) + [
+        (_power_map(SYNTHETIC_GRIDS[1]), (1.0, 25.0)),
+        (_stretched_map(SYNTHETIC_GRIDS[1], 0.7), (1.0, 25.0))]
+    for emap, (r1, r2) in cases:
+        rows.clear()
+        fit = tail_exponent_fit(emap, (r1, r2))
+        rad = emap.grid.radius
+        distinct = np.unique(rad[(rad >= r1) & (rad <= r2) & (emap.values > 0.0)]).size
+        assert distinct < fit.n_points
+        assert rows.count(fit.n_points) <= 2
+        assert max(n for n in rows if n != fit.n_points) <= distinct
 
 
 # ----------------------------------------------------------------- witness
