@@ -101,12 +101,22 @@ def _at_most(name, samples, bound) -> CheckResult:
     return CheckResult(name, value, float(bound), "<=", value <= bound)
 
 
-def _rel(a, b) -> float:
-    """max |a - b| relative to the peak of b (arrays or fields)."""
-    da = a.data if isinstance(a, SpectralField) else np.asarray(a)
-    db = b.data if isinstance(b, SpectralField) else np.asarray(b)
-    scale = float(np.max(np.abs(db)))
-    diff = float(np.max(np.abs(da - db)))
+def _data(v) -> np.ndarray:
+    return v.data if isinstance(v, SpectralField) else np.asarray(v)
+
+
+def _peak(b) -> float:
+    """max |b| over every sample of an array or field."""
+    return float(np.max(np.abs(_data(b))))
+
+
+def _rel(a, b, peak=None) -> float:
+    """max |a - b| relative to the peak of b (arrays or fields).  A caller
+    that compares several fields with one b measures ``peak = _peak(b)``
+    once and passes it."""
+    db = _data(b)
+    scale = _peak(db) if peak is None else peak
+    diff = float(np.max(np.abs(_data(a) - db)))
     return diff / scale if scale > 0.0 else diff
 
 
@@ -257,16 +267,18 @@ def suite_operator_algebra(grid1: Grid, grid3: Grid, n_fields: int = 50,
     basis_lam, lam_sq, comm = [], [], []
     half_power, mom_rt, mom_parseval = [], [], []
     for sigma, e in zip((1, -1), basis):
+        peak = _peak(e)  # also the peak of sigma * e: negation is exact
         lam = helicity_apply(e)
-        basis_lam.append(_rel(lam, sigma * e))
-        lam_sq.append(_rel(helicity_apply(lam), e))
+        basis_lam.append(_rel(lam, sigma * e, peak))
+        lam_sq.append(_rel(helicity_apply(lam), e, peak))
         cc = curl(e) * NATURAL.c
+        we = apply_frequency_power(e, 1.0)
         comm += [_rel(cc, apply_frequency_power(lam, 1.0)),
-                 _rel(cc, helicity_apply(apply_frequency_power(e, 1.0)))]
+                 _rel(cc, helicity_apply(we))]
         half = apply_frequency_power(apply_frequency_power(e, 0.5), 0.5)
-        half_power.append(_rel(half, apply_frequency_power(e, 1.0)))
+        half_power.append(_rel(half, we))
         amps = momentum_amplitudes(e)
-        mom_rt.append(_rel(to_frequency(synthesize_from_amplitudes(amps)), e))
+        mom_rt.append(_rel(to_frequency(synthesize_from_amplitudes(amps)), e, peak))
         mom_parseval.append(abs(amps.norm_squared() - l2_norm(e) ** 2) / l2_norm(e) ** 2)
 
     # The projector rows take both helicities at once.  Each is scaled by the
@@ -285,9 +297,10 @@ def suite_operator_algebra(grid1: Grid, grid3: Grid, n_fields: int = 50,
     lam1, proj1 = [], []
     for _ in range(min(n_fields, 20)):
         f = random_band_limited(grid1, rng)
-        lam1.append(_rel(helicity_apply(helicity_apply(f)), f))
+        peak = _peak(f)
+        lam1.append(_rel(helicity_apply(helicity_apply(f)), f, peak))
         pp, pm = helicity_parts(f)
-        proj1.append(_rel(pp + pm, f))
+        proj1.append(_rel(pp + pm, f, peak))
 
     nz = grid3.k_magnitude > 0.0
     norms = np.sqrt(np.sum(np.abs(table[0]) ** 2, axis=0))
