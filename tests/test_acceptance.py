@@ -20,7 +20,7 @@ import pytest
 
 from photonloc import run_all_checks, write_json
 
-REPORT_SHA256 = "d37f686a46800166556c744d8edcf3914435edcc3e41c8788c65eaf88634a799"
+REPORT_SHA256 = "40cfa5b6d1c0eeb517ec183a07d0f90bca80b8c410c79c9762aa223a0dcd8aab"
 
 CRITERIA = [
     ("01", "operator-algebra"),

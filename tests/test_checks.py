@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from photonloc import (CheckResult, Grid, SuiteResult, checks, l2_norm,
-                       to_frequency, to_position)
+from photonloc import (FREQUENCY, CheckResult, Grid, SpectralField, SuiteResult,
+                       checks, fields, to_frequency, to_position)
 from photonloc.checks import (band_limit, narrowband_state,
                               random_band_limited, random_compact_bump,
-                              random_real_smooth, run_all_checks)
+                              random_real_white, run_all_checks)
 from photonloc.fields import zero_mode_amplitude
 from photonloc.operators import momentum_amplitudes, transversality_residual
 
-from test_seeded_defects import plant, spy_on_measurements  # noqa: E402
+from test_seeded_defects import GRID1, GRID3, plant, spy_on_measurements  # noqa: E402
 
 
 def test_suite_result_semantics():
@@ -77,19 +77,20 @@ def test_random_band_limited_properties(grid1, grid3, rng):
     assert zero_mode_amplitude(to_frequency(g)) == 0.0
 
 
-def _band_modes(g) -> list:
+def _band_modes(g, limit=None) -> list:
     """The band written out: every spatial index, in C order, of a nonzero
-    mode with |k| <= band_limit and no mode number -n/2."""
+    mode with |k| <= limit (band_limit by default) and no mode number -n/2."""
     half = g.n // 2
+    limit = band_limit(g) if limit is None else limit
     return [m for m in np.ndindex(g.spatial_shape)
-            if any(m) and half not in m and g.k_magnitude[m] <= band_limit(g)]
+            if any(m) and half not in m and g.k_magnitude[m] <= limit]
 
 
-def _reference_draw(g, seed, transverse=False) -> np.ndarray:
+def _reference_draw(g, seed, transverse=False, limit=None) -> np.ndarray:
     """random_band_limited, one mode at a time: every real part, then every
     imaginary part, one row per component (or per helicity amplitude)."""
     rng = np.random.default_rng(seed)
-    modes = _band_modes(g)
+    modes = _band_modes(g, limit)
     helical = transverse and g.dim == 3
     rows = 2 if helical else (3 if g.dim == 3 else 1)
     re = rng.standard_normal((rows, len(modes)))
@@ -141,35 +142,70 @@ def test_momentum_amplitudes_of_a_transverse_draw_are_the_drawn_pair(grid3):
 @pytest.mark.parametrize("limit", ["default", "infinite"])
 @pytest.mark.parametrize("g", DRAW_GRIDS, ids=repr)
 @pytest.mark.parametrize("transverse", [False, True])
-@pytest.mark.parametrize("make", [random_band_limited, random_real_smooth],
-                         ids=lambda f: f.__name__)
 def test_random_fields_are_empty_at_k0_above_the_band_and_on_every_nyquist_plane(
-        make, transverse, g, limit, monkeypatch):
+        transverse, g, limit, monkeypatch):
     if limit == "infinite":
         monkeypatch.setattr(checks, "band_limit", lambda grid: np.inf)
-    data = to_frequency(make(g, np.random.default_rng(2), transverse)).data
+    data = random_band_limited(g, np.random.default_rng(2), transverse).data
     outside = (g.k_magnitude == 0.0) | (g.k_magnitude > checks.band_limit(g))
     for axis in range(g.dim):
         outside[(slice(None),) * axis + (g.n // 2,)] = True
-    # A real field's frequency image carries the forward transform's round-off.
-    tol = 0.0 if make is random_band_limited else 1e-14 * np.max(np.abs(data))
-    assert np.max(np.abs(data[..., outside])) <= tol
+    assert np.max(np.abs(data[..., outside])) == 0.0
     assert np.max(np.abs(data[..., ~outside])) > 0.0
 
 
-@pytest.mark.parametrize("make", [random_band_limited, random_real_smooth],
-                         ids=lambda f: f.__name__)
-def test_a_transverse_draw_is_flagged_without_measuring(make, grid3, rng, monkeypatch):
+def _k0_and_nyquist_planes(g) -> np.ndarray:
+    empty = g.k_magnitude == 0.0
+    for axis in range(g.dim):
+        empty[(slice(None),) * axis + (g.n // 2,)] = True
+    return empty
+
+
+@pytest.mark.parametrize("g", DRAW_GRIDS, ids=repr)
+def test_a_white_real_draw_is_real_with_zero_mean(g):
+    f = random_real_white(g, np.random.default_rng(2))
+    assert f.is_position and np.max(np.abs(f.data.imag)) == 0.0
+    mean = np.mean(f.data.real.reshape(-1, g.n ** g.dim), axis=1)
+    assert np.max(np.abs(mean)) < 1e-13 * np.max(np.abs(f.data.real))
+
+
+@pytest.mark.parametrize("g", DRAW_GRIDS, ids=repr)
+def test_a_white_real_draw_fills_every_mode_but_k0_and_the_nyquist_planes(g):
+    data = to_frequency(random_real_white(g, np.random.default_rng(2))).data
+    per_mode = np.sqrt(np.sum(np.abs(data.reshape(-1, *g.spatial_shape)) ** 2, axis=0))
+    empty = _k0_and_nyquist_planes(g)
+    peak = np.max(per_mode)
+    # The empty modes carry the forward transform's round-off.
+    assert np.max(per_mode[empty]) <= 1e-14 * peak
+    assert np.min(per_mode[~empty]) > 1e-6 * peak
+
+
+@pytest.mark.parametrize("g", DRAW_GRIDS, ids=repr)
+def test_a_white_real_draw_is_the_real_part_of_a_mode_by_mode_reference(g):
+    ref = SpectralField(g, _reference_draw(g, 4, transverse=True, limit=np.inf), FREQUENCY)
+    ref = to_position(ref).data.real
+    new = random_real_white(g, np.random.default_rng(4)).data.real
+    assert np.max(np.abs(new - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+DRAWS = {"band-limited": lambda g, rng: random_band_limited(g, rng),
+         "band-limited-transverse": lambda g, rng: random_band_limited(g, rng, True),
+         "real-white": random_real_white}
+
+
+@pytest.mark.parametrize("kind", ["band-limited-transverse", "real-white"])
+def test_a_transverse_draw_is_flagged_without_measuring(kind, grid3, rng, monkeypatch):
     calls = spy_on_measurements(monkeypatch)
-    f = make(grid3, rng, transverse=True)
+    f = DRAWS[kind](grid3, rng)
     assert f.transverse and calls == []
     assert transversality_residual(f) <= 1e-12
 
 
-@pytest.mark.parametrize("make", [random_band_limited, random_real_smooth],
-                         ids=lambda f: f.__name__)
-def test_random_fields_transform_and_project_only_what_they_must(make, grid1_small, grid3,
-                                                            transform_counts, monkeypatch):
+@pytest.mark.parametrize("kind", DRAWS)
+def test_random_fields_transform_and_project_only_what_they_must(kind, grid1_small, grid3,
+                                                                 transform_counts, monkeypatch):
+    """A band-limited draw is built in k-space with no transform; a white
+    real draw makes one inverse transform.  Neither projects."""
     projections = []
 
     def spy(original):
@@ -178,39 +214,26 @@ def test_random_fields_transform_and_project_only_what_they_must(make, grid1_sma
             return original(field)
         return transverse_project
     plant(monkeypatch, "transverse_project", spy)
-    for g, transverse in ((grid1_small, False), (grid1_small, True),
-                          (grid3, False), (grid3, True)):
+    for g in (grid1_small, grid3):
         transform_counts.update(forward=0, inverse=0)
-        projections.clear()
-        make(g, np.random.default_rng(0), transverse)
-        smooth = make is random_real_smooth
-        assert transform_counts == {"forward": 0, "inverse": int(smooth)}
-        assert len(projections) == int(smooth and transverse and g.dim == 3)
+        DRAWS[kind](g, np.random.default_rng(0))
+        assert transform_counts == {"forward": 0, "inverse": int(kind == "real-white")}
+    assert projections == []
 
 
-def test_random_real_smooth_is_real_zero_mean(grid1, rng):
-    f = to_position(random_real_smooth(grid1, rng))
-    assert np.max(np.abs(f.data.imag)) == 0.0
-    assert abs(np.mean(f.data.real)) < 1e-13 * np.max(np.abs(f.data.real))
-    assert l2_norm(f) > 0.0
-
-
-@pytest.mark.parametrize("transverse", [False, True])
-def test_random_real_smooth_is_real_zero_mean_in_3d(grid3, rng, transverse):
-    f = random_real_smooth(grid3, rng, transverse)
-    assert f.is_position and np.max(np.abs(f.data.imag)) == 0.0
-    mean = np.mean(f.data.real, axis=(1, 2, 3))
-    assert np.max(np.abs(mean)) < 1e-13 * np.max(np.abs(f.data.real))
-    assert l2_norm(f) > 0.0
-
-
-def test_random_real_smooth_keeps_a_measured_transverse_flag(grid3, rng, monkeypatch):
-    # A flat envelope leaves the Nyquist planes fully populated; the real
-    # part is transverse only because the builder empties them.
-    monkeypatch.setattr(checks, "band_limit", lambda grid: np.inf)
-    f = random_real_smooth(grid3, rng, transverse=True)
-    assert f.transverse
-    assert transversality_residual(f) <= 1e-12
+@pytest.mark.parametrize("n_pairs", [5, 1])
+def test_the_isomorphism_suite_makes_26_3d_transforms(n_pairs, monkeypatch):
+    """12 forward and 14 inverse, whatever n_pairs: the complex-linear 3d
+    rows run on the basis fields in the frequency domain and make none, and
+    the real-linear rows make all of them, three inverse for the draws."""
+    counts = {"forward": 0, "inverse": 0}
+    for kind in counts:
+        def counted(field, kind=kind, original=getattr(fields, f"{kind}_transform")):
+            counts[kind] += field.grid.dim == 3
+            return original(field)
+        monkeypatch.setattr(fields, f"{kind}_transform", counted)
+    assert checks.suite_isomorphism(GRID1, GRID3, n_pairs=n_pairs).passed
+    assert counts == {"forward": 12, "inverse": 14}
 
 
 def test_random_compact_bump_is_compact(grid1, rng):

@@ -22,6 +22,7 @@ import pytest
 
 from photonloc import (FREQUENCY, BBState, Grid, LPState, SpectralField, checks,
                        cli, fields, operators)
+from photonloc import states as state_module
 from photonloc.errors import TransversalityError
 from photonloc.energy import energy_density
 from photonloc.scenarios import make_bb_compact, make_lp_compact, make_lp_extended
@@ -215,7 +216,8 @@ def test_leaky_transverse_project_fails_the_residual_row(monkeypatch):
     """A projection that keeps 1e-6 of the longitudinal part but still
     flags its output transverse: no consumer measures the flagged field
     again, so the transversality-residual row has to catch it, and the
-    projection of eps_+ + eps_- + k^ keeps 1e-6 of k^."""
+    projection of eps_+ + eps_- + k^ keeps 1e-6 of k^.  No other suite
+    projects a field."""
     def make_defect(original):
         def transverse_project(field):
             out = original(field)
@@ -223,15 +225,75 @@ def test_leaky_transverse_project_fails_the_residual_row(monkeypatch):
             return fields._trusted(out.grid, leaky, out.domain, True)
         return transverse_project
     plant(monkeypatch, "transverse_project", make_defect)
-    algebra, isomorphism = operator_suites()
+    algebra = checks.suite_operator_algebra(GRID1, GRID3, n_fields=8)
     assert {"transversality-residual", "transverse-projector-basis"} <= failed(algebra)
-    assert "em-cross-path-3d" in failed(isomorphism)
 
 
 def above_half_nyquist(grid: Grid) -> np.ndarray:
-    """The 3d modes above the band of the random corpus, where every
+    """The modes above the band of the random corpus, where every
     random_band_limited field is empty."""
     return grid.k_magnitude > checks.band_limit(grid)
+
+
+def bb_field_scaled_above_half_nyquist(dim: int):
+    """states._bb_field with the F of every ``dim``-dimensional state
+    scaled by 1.01 above half the Nyquist wavevector."""
+    def make_defect(original):
+        def _bb_field(psi_hat, units, domain):
+            if psi_hat.grid.dim != dim:
+                return original(psi_hat, units, domain)
+            out = original(psi_hat, units, FREQUENCY)
+            data = out.data.copy()
+            data[..., above_half_nyquist(out.grid)] *= 1.01
+            planted = fields._trusted(out.grid, data, FREQUENCY, out.transverse)
+            return planted if domain == FREQUENCY else fields.to_position(planted)
+        return _bb_field
+    return make_defect
+
+
+BB_FIELD_ROWS = {3: {"lp-bb-round-trip", "inner-product-correspondence",
+                     "norm-correspondence", "em-cross-path-3d"},
+                 1: {"em-cross-path-1d"}}
+
+
+@pytest.mark.parametrize("dim", [3, 1])
+def test_bb_field_off_above_half_nyquist_fails_the_isomorphism_rows(monkeypatch, dim):
+    """The 3d rows see the defect through the basis fields and the white
+    real draws, the 1d cross path through its white draws; the 1d random
+    pairs are in-band, and evolution commutes with the defective map."""
+    plant(monkeypatch, "_bb_field", bb_field_scaled_above_half_nyquist(dim),
+          source=state_module)
+    isomorphism = checks.suite_isomorphism(GRID1, GRID3, n_pairs=5)
+    assert failed(isomorphism) == BB_FIELD_ROWS[dim]
+
+
+@pytest.mark.parametrize("mode", [(1, 0, 0), (7, 7, 7), (7, 13, 2)])
+def test_bb_field_off_at_one_3d_mode_fails_the_round_trip_and_the_cross_path(
+        monkeypatch, mode):
+    """A 1% error at one mode, the lowest, the highest off the Nyquist
+    planes, or one in between: the basis fields and the white real draws
+    fill every mode, so one draw per slot is enough to see it."""
+    def make_defect(original):
+        def _bb_field(psi_hat, units, domain):
+            out = original(psi_hat, units, FREQUENCY)
+            data = out.data.copy()
+            if out.grid.dim == 3:
+                data[(slice(None),) + mode] *= 1.01
+            planted = fields._trusted(out.grid, data, FREQUENCY, out.transverse)
+            return planted if domain == FREQUENCY else fields.to_position(planted)
+        return _bb_field
+    plant(monkeypatch, "_bb_field", make_defect, source=state_module)
+    isomorphism = checks.suite_isomorphism(GRID1, GRID3, n_pairs=5)
+    assert {"lp-bb-round-trip", "em-cross-path-3d"} <= failed(isomorphism)
+
+
+def test_bb_field_off_above_half_nyquist_in_3d_makes_check_exit_2(monkeypatch, capsys):
+    plant(monkeypatch, "_bb_field", bb_field_scaled_above_half_nyquist(3),
+          source=state_module)
+    assert cli.main(["check", "--grid-n", "256", "--n-fields", "4"]) == 2
+    out = capsys.readouterr().out
+    assert re.search(r"^isomorphism +9 +FAIL$", out, re.M)
+    assert set(re.findall(r"^  failed: ([\w-]+):", out, re.M)) == BB_FIELD_ROWS[3]
 
 
 def test_helicity_halved_above_half_nyquist_fails_the_basis_rows(monkeypatch):
