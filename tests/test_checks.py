@@ -139,6 +139,13 @@ def test_momentum_amplitudes_of_a_transverse_draw_are_the_drawn_pair(grid3):
         assert np.max(np.abs(z[~inside])) == 0.0
 
 
+def _k0_and_nyquist_planes(g) -> np.ndarray:
+    empty = g.k_magnitude == 0.0
+    for axis in range(g.dim):
+        empty[(slice(None),) * axis + (g.n // 2,)] = True
+    return empty
+
+
 @pytest.mark.parametrize("limit", ["default", "infinite"])
 @pytest.mark.parametrize("g", DRAW_GRIDS, ids=repr)
 @pytest.mark.parametrize("transverse", [False, True])
@@ -147,18 +154,9 @@ def test_random_fields_are_empty_at_k0_above_the_band_and_on_every_nyquist_plane
     if limit == "infinite":
         monkeypatch.setattr(checks, "band_limit", lambda grid: np.inf)
     data = random_band_limited(g, np.random.default_rng(2), transverse).data
-    outside = (g.k_magnitude == 0.0) | (g.k_magnitude > checks.band_limit(g))
-    for axis in range(g.dim):
-        outside[(slice(None),) * axis + (g.n // 2,)] = True
+    outside = _k0_and_nyquist_planes(g) | (g.k_magnitude > checks.band_limit(g))
     assert np.max(np.abs(data[..., outside])) == 0.0
     assert np.max(np.abs(data[..., ~outside])) > 0.0
-
-
-def _k0_and_nyquist_planes(g) -> np.ndarray:
-    empty = g.k_magnitude == 0.0
-    for axis in range(g.dim):
-        empty[(slice(None),) * axis + (g.n // 2,)] = True
-    return empty
 
 
 @pytest.mark.parametrize("g", DRAW_GRIDS, ids=repr)

@@ -235,20 +235,25 @@ def above_half_nyquist(grid: Grid) -> np.ndarray:
     return grid.k_magnitude > checks.band_limit(grid)
 
 
-def bb_field_scaled_above_half_nyquist(dim: int):
+def bb_field_scaled(dim: int, modes):
     """states._bb_field with the F of every ``dim``-dimensional state
-    scaled by 1.01 above half the Nyquist wavevector."""
+    scaled by 1.01 at the modes ``modes(grid)`` indexes (after the
+    component axis)."""
     def make_defect(original):
         def _bb_field(psi_hat, units, domain):
             if psi_hat.grid.dim != dim:
                 return original(psi_hat, units, domain)
             out = original(psi_hat, units, FREQUENCY)
             data = out.data.copy()
-            data[..., above_half_nyquist(out.grid)] *= 1.01
+            data[(Ellipsis,) + modes(out.grid)] *= 1.01
             planted = fields._trusted(out.grid, data, FREQUENCY, out.transverse)
             return planted if domain == FREQUENCY else fields.to_position(planted)
         return _bb_field
     return make_defect
+
+
+def bb_field_scaled_above_half_nyquist(dim: int):
+    return bb_field_scaled(dim, lambda grid: (above_half_nyquist(grid),))
 
 
 BB_FIELD_ROWS = {3: {"lp-bb-round-trip", "inner-product-correspondence",
@@ -273,16 +278,8 @@ def test_bb_field_off_at_one_3d_mode_fails_the_round_trip_and_the_cross_path(
     """A 1% error at one mode, the lowest, the highest off the Nyquist
     planes, or one in between: the basis fields and the white real draws
     fill every mode, so one draw per slot is enough to see it."""
-    def make_defect(original):
-        def _bb_field(psi_hat, units, domain):
-            out = original(psi_hat, units, FREQUENCY)
-            data = out.data.copy()
-            if out.grid.dim == 3:
-                data[(slice(None),) + mode] *= 1.01
-            planted = fields._trusted(out.grid, data, FREQUENCY, out.transverse)
-            return planted if domain == FREQUENCY else fields.to_position(planted)
-        return _bb_field
-    plant(monkeypatch, "_bb_field", make_defect, source=state_module)
+    plant(monkeypatch, "_bb_field", bb_field_scaled(3, lambda grid: mode),
+          source=state_module)
     isomorphism = checks.suite_isomorphism(GRID1, GRID3, n_pairs=5)
     assert {"lp-bb-round-trip", "em-cross-path-3d"} <= failed(isomorphism)
 
