@@ -61,14 +61,18 @@ class SpectralField:
     needs an unflagged field to be transverse measures it through
     require_transverse, and a passing measurement sets the flag.  Operators
     that preserve or enforce transversality set the flag on their outputs
-    without measuring, and every consumer trusts it afterwards.  Writing
-    into ``.data`` in place after construction voids the claim.
+    without measuring, and every consumer trusts it afterwards.  A nonzero
+    ``helicity`` (+1 or -1, not a constructor argument) claims a helicity
+    eigenfield; only the helicity projection sets it, unmeasured, and every
+    other field, copies and arithmetic results included, claims 0.  Writing
+    into ``.data`` in place after construction voids both claims.
     """
 
     grid: Grid
     data: np.ndarray
     domain: str = POSITION
     transverse: bool = False
+    helicity = 0
 
     def __post_init__(self):
         if self.domain not in (POSITION, FREQUENCY):
@@ -91,7 +95,7 @@ class SpectralField:
         return self.domain == FREQUENCY
 
     def copy(self) -> "SpectralField":
-        """A copy of the data that keeps the flag without measuring it."""
+        """A copy that keeps the transverse flag unmeasured and claims no helicity."""
         return _trusted(self.grid, self.data.copy(), self.domain, self.transverse)
 
     def _check_compatible(self, other: "SpectralField"):

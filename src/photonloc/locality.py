@@ -5,9 +5,9 @@ has no compact support" into measured numbers: the effective support of a
 field at a threshold, the power-law or stretched-exponential character of
 an energy tail, a witness that a field and its frequency-weighted partner
 cannot both vanish on a region, and a scan showing that a helicity
-eigenfield has no vanishing window.  The scan tests the eigenfield claim on
-the frequency image, where the helicity operator acts, and takes only
-|field| to position.
+eigenfield has no vanishing window.  The scan trusts a projected part's
+helicity claim, tests any other field on its frequency image, where the
+helicity operator acts, and takes only |field| to position.
 
 All position-space tails on a periodic grid are eventually contaminated by
 periodic images, so every fit window is required to stay inside the inner
@@ -70,7 +70,7 @@ class SupportEstimate:
         return DetectorVolume.aligned(*zip(*self.region))
 
 
-def support_estimate(obj, threshold: float = SUPPORT_THRESHOLD) -> SupportEstimate:
+def support_estimate(obj, threshold: float) -> SupportEstimate:
     grid, vals = _samples_of(obj)
     peak = float(np.max(vals))
     if peak == 0.0:
@@ -271,7 +271,10 @@ def helicity_vanishing_scan(field: SpectralField, window_size: float,
     set, so the minimum over windows of the in-window maximum must stay
     above the physical floor.  Fields whose peak is negligible relative to
     ``reference_peak`` (defaulting to their own peak) are classified as
-    identically zero, for which the scan is vacuous.
+    identically zero, for which the scan is vacuous.  The helicity that a
+    part built by helicity_project or helicity_parts claims is trusted; any
+    other field is measured, and unless |Lv - sv| <= 1e-8 |v| for s = +1 or
+    -1 it raises NotEigenfieldError.
     """
     pos = to_position(field)
     g = pos.grid
@@ -290,14 +293,15 @@ def helicity_vanishing_scan(field: SpectralField, window_size: float,
     if w > g.n:
         raise InsufficientWindowError("window exceeds the domain")
 
-    f = to_frequency(field)
-    lam = helicity_apply(f)
-    norm_v = l2_norm(f)
-    eigenvalue = 0
-    for s in (1, -1):
-        if l2_norm(lam - float(s) * f) <= 1e-8 * norm_v:
-            eigenvalue = s
-            break
+    eigenvalue = field.helicity
+    if not eigenvalue:
+        f = to_frequency(field)
+        lam = helicity_apply(f)
+        norm_v = l2_norm(f)
+        for s in (1, -1):
+            if l2_norm(lam - float(s) * f) <= 1e-8 * norm_v:
+                eigenvalue = s
+                break
     if eigenvalue == 0:
         raise NotEigenfieldError("field is not a helicity eigenfield")
 

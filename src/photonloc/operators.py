@@ -168,15 +168,18 @@ def helicity_apply(field: SpectralField) -> SpectralField:
 
 def _helicity_parts(field: SpectralField, signs) -> tuple:
     """(1 + sign*L)/2 applied to the field for each sign, from one L.v: the
-    sum or difference of v and L.v in one fresh array, halved in place."""
+    sum or difference of v and L.v in one fresh array, halved in place.  L**2 = 1
+    on a transverse field with a zero mode exactly 0, whose parts claim their sign."""
     f = to_frequency(field)
     lam = helicity_apply(f)
     transverse = lam.transverse or field.transverse
+    claim = transverse and not f.data[f.grid.zero_mode_index()].any()
     parts = []
     for sign in signs:
         part = (np.add if sign > 0 else np.subtract)(f.data, lam.data)
         part *= 0.5
         parts.append(_same_domain(field, part, transverse))
+        parts[-1].helicity = sign if claim else 0
     return tuple(parts)
 
 

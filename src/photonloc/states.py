@@ -28,6 +28,7 @@ ZeroModeError or, on request, have the mode discarded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,8 +94,9 @@ class PhotonState:
     system and its norm in the representation's own inner product.
 
     Each subclass names its ``representation`` ("lp" or "bb") and defines
-    the norm, which is computed once, when the state is built.  A norm
-    that is not finite (a NaN or Inf sample) raises ValueError.
+    the norm, which is computed on its first read and kept.  A norm that
+    is not finite raises ValueError: when the state is built if a sample
+    is NaN or Inf, on that read if the norm overflows.
     """
 
     field: SpectralField
@@ -104,9 +106,15 @@ class PhotonState:
         if not isinstance(self.units, UnitsConfig):
             raise TypeError(f"units must be a UnitsConfig, got {type(self.units).__name__}")
         _check_state_field(self.field)
-        self.norm = self._norm()
-        if not np.isfinite(self.norm):
-            raise ValueError(f"state norm must be finite, got {self.norm}")
+        if not np.isfinite(self.field.data).all():
+            self.norm  # a NaN or Inf sample makes the norm raise
+
+    @cached_property
+    def norm(self) -> float:
+        norm = self._norm()
+        if not np.isfinite(norm):
+            raise ValueError(f"state norm must be finite, got {norm}")
+        return norm
 
     @property
     def grid(self):

@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from photonloc import (DetectorVolume, EnergyDensityMap, Grid, LPState,
+from photonloc import (FREQUENCY, DetectorVolume, EnergyDensityMap, Grid, LPState,
                        SpectralField, antilocality_witness, detector_energy,
                        energy_density, figure2_report, helicity_parts,
-                       helicity_scans, helicity_vanishing_scan,
+                       helicity_project, helicity_scans, helicity_vanishing_scan,
                        make_lp_compact, odd_pulse_profile, peak_magnitude,
                        plane_wave, sin2_profile, strip_zero_mode,
                        support_estimate, tail_exponent_fit, to_frequency,
@@ -16,7 +16,8 @@ from photonloc.checks import random_band_limited
 from photonloc.errors import (InsufficientWindowError, NotEigenfieldError,
                               SupportError, VolumeOutOfDomainError,
                               ZeroStateError)
-from photonloc.locality import TailFit
+from photonloc.fields import require_transverse
+from photonloc.locality import SUPPORT_THRESHOLD, TailFit
 
 from test_golden import _state_3d  # noqa: E402
 
@@ -24,7 +25,7 @@ from test_golden import _state_3d  # noqa: E402
 # ----------------------------------------------------------------- support
 
 def test_support_of_compact_profile(grid1):
-    est = support_estimate(sin2_profile(grid1, 1.0))
+    est = support_estimate(sin2_profile(grid1, 1.0), SUPPORT_THRESHOLD)
     assert abs(est.radii[0] - 0.5) <= grid1.spacing
     assert est.outside_max <= est.threshold * est.peak
     assert est.region == ((-est.radii[0], est.radii[0]),)
@@ -38,12 +39,12 @@ def test_support_threshold_monotonicity(grid1):
 
 
 def test_support_of_plane_wave_fills_domain(grid1):
-    est = support_estimate(plane_wave(grid1, 3))
+    est = support_estimate(plane_wave(grid1, 3), SUPPORT_THRESHOLD)
     assert est.radii[0] == 0.5 * grid1.length
 
 
 def test_support_3d_and_energy_map_input(grid3):
-    est = support_estimate(plane_wave(grid3, (1, 0, 0), +1))
+    est = support_estimate(plane_wave(grid3, (1, 0, 0), +1), SUPPORT_THRESHOLD)
     assert est.radii == (4.0, 4.0, 4.0)
     emap = energy_density(make_lp_compact(Grid(1, 16.0, 2048), 1.0))
     est2 = support_estimate(emap, threshold=1e-3)
@@ -51,7 +52,7 @@ def test_support_3d_and_energy_map_input(grid3):
 
 
 def test_support_volume_is_an_interval_in_1d_and_a_box_in_3d(grid1, grid3):
-    est1 = support_estimate(sin2_profile(grid1, 1.0))
+    est1 = support_estimate(sin2_profile(grid1, 1.0), SUPPORT_THRESHOLD)
     x, y, z = grid3.position_mesh()
     blob = np.exp(-(x ** 2 + y ** 2 / 4.0 + z ** 2 / 0.25))
     est3 = support_estimate(SpectralField(grid3, np.stack([blob] * 3)), threshold=1e-3)
@@ -66,9 +67,9 @@ def test_support_volume_is_an_interval_in_1d_and_a_box_in_3d(grid1, grid3):
 def test_support_guards(grid1_small):
     zero = SpectralField(grid1_small, np.zeros(grid1_small.n, dtype=complex))
     with pytest.raises(ZeroStateError):
-        support_estimate(zero)
+        support_estimate(zero, SUPPORT_THRESHOLD)
     with pytest.raises(TypeError):
-        support_estimate(np.ones(grid1_small.n))
+        support_estimate(np.ones(grid1_small.n), SUPPORT_THRESHOLD)
 
 
 # --------------------------------------------------------------- tail fits
@@ -338,6 +339,74 @@ def test_scan_of_a_frequency_domain_part_makes_one_inverse_transform(
         transform_counts.update(forward=0, inverse=0)
         helicity_vanishing_scan(part, 5.0 * grid3.spacing, reference_peak=peak)
         assert transform_counts == {"forward": 0, "inverse": 1}
+
+
+# The helicity claim: parts built by the projection are trusted, any other
+# field is measured.
+CLAIM_GRIDS = {1: Grid(1, 16.0, 256), 3: Grid(3, 8.0, 16)}
+
+
+def flagged_draw(grid, rng):
+    """A zero-mean band-limited draw, flagged transverse (every 1d field
+    passes the measurement)."""
+    field = random_band_limited(grid, rng, transverse=True)
+    require_transverse(field, "")
+    return field
+
+
+def spy_on_scan_measurements(monkeypatch) -> list:
+    """The fields the scan passes to helicity_apply."""
+    calls = []
+    original = locality.helicity_apply
+
+    def helicity_apply(field):
+        calls.append(field)
+        return original(field)
+    monkeypatch.setattr(locality, "helicity_apply", helicity_apply)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_a_claimed_part_is_trusted_and_an_unclaimed_copy_measured(dim, rng, monkeypatch):
+    grid = CLAIM_GRIDS[dim]
+    field = flagged_draw(grid, rng)
+    window = 5.0 * grid.spacing
+    calls = spy_on_scan_measurements(monkeypatch)
+    for part, sign in zip(helicity_parts(field), (1, -1)):
+        assert part.helicity == helicity_project(field, sign).helicity == sign
+        assert helicity_vanishing_scan(part, window).eigenvalue == sign
+        assert calls == []
+        unclaimed = part.copy()
+        assert unclaimed.helicity == 0
+        assert helicity_vanishing_scan(unclaimed, window).eigenvalue == sign
+        assert calls == [unclaimed]
+        calls.clear()
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_a_part_of_a_mean_carrying_field_is_not_claimed_and_is_measured(
+        dim, rng, monkeypatch):
+    """L maps the mean to zero, so (1 + L)/2 halves it: such a part is no
+    eigenfield, and the measurement says so."""
+    grid = CLAIM_GRIDS[dim]
+    data = flagged_draw(grid, rng).data.copy()
+    data[grid.zero_mode_index()] = 1.0
+    field = SpectralField(grid, data, FREQUENCY, transverse=True)
+    calls = spy_on_scan_measurements(monkeypatch)
+    for part in helicity_parts(field):
+        assert part.helicity == 0
+        with pytest.raises(NotEigenfieldError):
+            helicity_vanishing_scan(part, 5.0 * grid.spacing)
+    assert len(calls) == 2
+    assert [p.helicity for p in helicity_parts(strip_zero_mode(field))] == [1, -1]
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_sums_and_differences_of_parts_claim_nothing(dim, rng):
+    """Not even plus + plus, which is an eigenfield."""
+    plus, minus = helicity_parts(flagged_draw(CLAIM_GRIDS[dim], rng))
+    for combined in (plus + plus, plus + minus, plus - minus, minus - minus):
+        assert combined.helicity == 0
 
 
 def _hand_built_scans(field, window):

@@ -10,7 +10,10 @@ each failure is the defect's doing.
 The ``transverse`` flag is checked only where a caller sets it and trusted
 after that, so a field flagged transverse that is not must fail at that
 boundary, or in the transversality-residual row, which measures its fields
-explicitly.  A spy planted the same way counts the measurements.
+explicitly.  A spy planted the same way counts the measurements.  The
+helicity claim of a projected part is trusted by the vanishing scan, so a
+projector that builds the wrong part under the right claim must fail the
+operator suites.
 """
 
 import re
@@ -21,7 +24,7 @@ import numpy as np
 import pytest
 
 from photonloc import (FREQUENCY, BBState, Grid, LPState, SpectralField, checks,
-                       cli, fields, operators)
+                       cli, fields, helicity_vanishing_scan, operators)
 from photonloc import states as state_module
 from photonloc.errors import TransversalityError
 from photonloc.energy import energy_density
@@ -204,6 +207,60 @@ def test_a_suite_that_raises_fails_and_check_still_prints_every_suite(monkeypatc
     assert "  failed: raised ValueError: state norm must be finite, got nan: nan" in out
     assert len(re.findall(r"  (?:pass|FAIL)$", out, re.M)) == 10
     assert "NUMERICAL VERIFICATION FAILED" in out
+
+
+def parts_for_signs(choose):
+    """_helicity_parts building its parts for the signs choose(signs), each
+    part claiming the sign it was asked for, as the projection would."""
+    def make_defect(original):
+        def _helicity_parts(field, signs):
+            parts = original(field, choose(signs))
+            for part, sign in zip(parts, signs):
+                part.helicity = sign if part.helicity else 0
+            return parts
+        return _helicity_parts
+    return make_defect
+
+
+# (choose, failed operator-algebra rows, failed isomorphism rows).  Swapped
+# projectors are still idempotent and annihilate each other, so only the
+# rows that apply L to a part, or compare two parts' signs, see the swap.
+PROJECTOR_DEFECTS = {
+    "swapped-signs": (lambda signs: tuple(-s for s in signs), set(),
+                      {"helicity-pair-eigenfield", "riemann-silberstein-identity-3d"}),
+    "first-sign-twice": (lambda signs: (signs[0],) * len(signs),
+                         {"projector-annihilation", "projector-completeness-3d",
+                          "projector-completeness-1d"},
+                         {"helicity-pair-reconstruction",
+                          "riemann-silberstein-identity-3d"}),
+}
+
+
+@pytest.mark.parametrize("defect", PROJECTOR_DEFECTS)
+def test_a_projector_defect_under_the_right_claim_fails_the_operator_suites(
+        monkeypatch, defect):
+    """The scan reports the claimed signs; only measuring an unclaimed copy
+    of each part would show the defect."""
+    choose, algebra_rows, isomorphism_rows = PROJECTOR_DEFECTS[defect]
+    plant(monkeypatch, "_helicity_parts", parts_for_signs(choose))
+    field = checks.random_band_limited(GRID3, np.random.default_rng(0), transverse=True)
+    parts = operators.helicity_parts(field)
+    window = 5.0 * GRID3.spacing
+    assert [helicity_vanishing_scan(p, window).eigenvalue for p in parts] == [1, -1]
+    assert [helicity_vanishing_scan(p.copy(), window).eigenvalue for p in parts] != [1, -1]
+    algebra, isomorphism = operator_suites()
+    assert failed(algebra) == algebra_rows
+    assert failed(isomorphism) == isomorphism_rows
+
+
+@pytest.mark.parametrize("defect", PROJECTOR_DEFECTS)
+def test_a_projector_defect_under_the_right_claim_makes_check_exit_2(
+        monkeypatch, capsys, defect):
+    choose, algebra_rows, isomorphism_rows = PROJECTOR_DEFECTS[defect]
+    plant(monkeypatch, "_helicity_parts", parts_for_signs(choose))
+    assert cli.main(["check"]) == 2
+    out = capsys.readouterr().out
+    assert algebra_rows | isomorphism_rows <= set(re.findall(r"^  failed: ([\w-]+):", out, re.M))
 
 
 def test_longitudinal_field_flagged_transverse_is_rejected():
