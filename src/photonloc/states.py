@@ -106,8 +106,8 @@ class PhotonState:
         if not isinstance(self.units, UnitsConfig):
             raise TypeError(f"units must be a UnitsConfig, got {type(self.units).__name__}")
         _check_state_field(self.field)
-        if not np.isfinite(self.field.data).all():
-            self.norm  # a NaN or Inf sample makes the norm raise
+        if not np.isfinite(self.field.data).all():  # then the norm is not finite
+            raise ValueError(f"state norm must be finite, got {self._norm()}")
 
     @cached_property
     def norm(self) -> float:
