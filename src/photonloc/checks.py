@@ -22,20 +22,19 @@ every mode, so it holds for every field of the grid, not only for a band:
 the complex-linear rows on eps_+ and eps_-, the real-linear rows of the
 isomorphism suite on one white real draw per input.
 
-The random corpora are drawn in k-space, at the modes they keep: one band
-per grid, the nonzero modes up to half the Nyquist wavevector and off every
-Nyquist plane, computed once.  A transverse random field is drawn as two
-helicity amplitudes on the grid's polarization table and flagged without
-a projection or a measurement.  A white real field is the same draw at
-every nonzero mode off the Nyquist planes, real after one inverse
-transform.  The operator-algebra suite projects its 3d random fields
+The random corpora are drawn in k-space, at the modes they keep: the band,
+the nonzero modes up to half the Nyquist wavevector and off every Nyquist
+plane, read off the grid's cached |k| table.  A transverse random field is
+drawn as two helicity amplitudes on the grid's polarization table and
+flagged without a projection or a measurement.  A white real field is the
+same draw at every nonzero mode off the Nyquist planes, real after one
+inverse transform.  The operator-algebra suite projects its 3d random fields
 itself, so its transversality-residual row measures transverse_project on
 random input.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import tempfile
@@ -46,8 +45,8 @@ import numpy as np
 from .energy import DetectorVolume, EnergyDensityMap, energy_density, knight_locality_test, total_energy
 from .errors import PhotonlocError
 from .fields import (FREQUENCY, POSITION, SpectralField, _trusted, l2_inner, l2_norm,
-                     magnitude, to_frequency, to_position)
-from .grid import Grid, _readonly
+                     magnitude, strip_zero_mode, to_frequency, to_position)
+from .grid import Grid
 from .locality import (PHYSICAL_FLOOR, _window_maxima, antilocality_witness,
                        helicity_scans, support_estimate, tail_exponent_fit,
                        vector_potential_localized_state)
@@ -134,25 +133,6 @@ def band_limit(grid: Grid) -> float:
     return 0.5 * np.pi * grid.n / grid.length
 
 
-def _band(grid: Grid) -> np.ndarray:
-    """The modes a band-limited random field fills, as flat indices into
-    the grid's spatial lattice, ascending: nonzero, |k| <= band_limit, and
-    on no Nyquist plane, whose modes have no -k partner (at half the Nyquist
-    wavevector the planes lie above the band anyway)."""
-    return _band_indices(grid.dim, grid.length, grid.n, band_limit(grid))
-
-
-@functools.lru_cache(maxsize=4)
-def _band_indices(dim: int, length: float, n: int, limit: float) -> np.ndarray:
-    # Keyed on the grid's values: a cached Grid would keep its k-space
-    # tables alive after the caller has dropped it.
-    kmag = Grid(dim, length, n).k_magnitude
-    keep = (kmag > 0.0) & (kmag <= limit)
-    for axis in range(dim):
-        keep[(slice(None),) * axis + (n // 2,)] = False
-    return _readonly(np.flatnonzero(keep))
-
-
 def _complex_normals(rng, shape) -> np.ndarray:
     """Complex normals, E|z|^2 = 2: every real part first, then every
     imaginary part."""
@@ -162,12 +142,17 @@ def _complex_normals(rng, shape) -> np.ndarray:
     return z
 
 
-def _draw(grid: Grid, band: np.ndarray, rng, transverse: bool) -> SpectralField:
-    """Frequency-domain field holding complex normals at the modes ``band``
-    lists (flat indices into the spatial lattice) and zero elsewhere, one
-    row per component.  A transverse 3d draw is z_+ eps_+(k) + z_- eps_-(k)
-    on the grid's polarization table, with z_+ then z_- drawn like two
-    components, flagged transverse without measuring."""
+def _draw(grid: Grid, limit: float, rng, transverse: bool) -> SpectralField:
+    """Frequency-domain field holding complex normals, one row per component,
+    at the nonzero modes with |k| <= limit off every Nyquist plane (whose
+    modes have no -k partner), in ascending flat order, and zero elsewhere.
+    A transverse 3d draw is z_+ eps_+(k) + z_- eps_-(k) on the grid's
+    polarization table, z_+ then z_- drawn like two components, flagged
+    transverse without measuring."""
+    keep = (grid.k_magnitude > 0.0) & (grid.k_magnitude <= limit)
+    for axis in range(grid.dim):
+        keep[(slice(None),) * axis + (grid.n // 2,)] = False
+    band = np.flatnonzero(keep)
     helical = transverse and grid.dim == 3
     if helical:
         z = _complex_normals(rng, (2, band.size))
@@ -189,7 +174,7 @@ def random_band_limited(grid: Grid, rng, transverse: bool = False) -> SpectralFi
     projecting three drawn components would give, from two thirds of the
     normals.  It is flagged transverse without measuring.
     """
-    return _draw(grid, _band(grid), rng, transverse)
+    return _draw(grid, band_limit(grid), rng, transverse)
 
 
 def random_real_white(grid: Grid, rng) -> SpectralField:
@@ -203,8 +188,7 @@ def random_real_white(grid: Grid, rng) -> SpectralField:
     stays transverse and keeps the flag.  A Nyquist-plane mode is its own
     partner's alias, which is why those planes stay empty.
     """
-    band = _band_indices(grid.dim, grid.length, grid.n, np.inf)
-    pos = to_position(_draw(grid, band, rng, transverse=True))
+    pos = to_position(_draw(grid, np.inf, rng, transverse=True))
     return _trusted(grid, pos.data.real, POSITION, pos.transverse)
 
 
@@ -289,12 +273,12 @@ def suite_operator_algebra(grid1: Grid, grid3: Grid, n_fields: int = 50,
     # The projector rows take both helicities at once.  Each is scaled by the
     # input's peak: a part that should vanish has no peak to divide by.
     both = basis[0] + basis[1]
-    peak = float(np.max(np.abs(both.data)))
+    peak = _peak(both)
     pp, pm = helicity_parts(both)
     pp_plus, pp_minus = helicity_parts(pp)
-    proj_idem = float(np.max(np.abs(pp_plus.data - pp.data))) / peak
-    proj_annih = float(np.max(np.abs(pp_minus.data))) / peak
-    proj_complete = float(np.max(np.abs((pp + pm).data - both.data))) / peak
+    proj_idem = _rel(pp_plus, pp, peak)
+    proj_annih = _peak(pp_minus) / peak
+    proj_complete = _rel(pp + pm, both, peak)
     # k^ at every mode, left unflagged: the projection must remove it whole.
     unit_k = SpectralField(grid3, np.stack(np.broadcast_arrays(*_unit_k(grid3))), FREQUENCY)
     proj_basis = _rel(transverse_project(both + unit_k), both)
@@ -359,18 +343,17 @@ def suite_operator_algebra(grid1: Grid, grid3: Grid, n_fields: int = 50,
     ])
 
 
-def suite_isomorphism(grid1: Grid, grid3: Grid, n_pairs: int = 16,
-                      seed: int = 11) -> SuiteResult:
+def suite_isomorphism(grid1: Grid, grid3: Grid, seed: int = 11) -> SuiteResult:
     """LP <-> BB equivalence, the RS relation, and the EM cross-path.
 
-    ``n_pairs`` counts the random 1d LP pairs, in-band draws under
-    alternating unit systems, for the round trip, the norm and
-    inner-product correspondence and the evolution commutation.  In 3d
-    these complex-linear rows run on eps_+ and eps_- under both unit
-    systems, each paired with its own evolution (eps_+ and eps_- are
-    orthogonal, so they cannot pair with each other): the maps they compare
-    are diagonal in k and the basis fields fill every nonzero mode, so the
-    rows hold for every transverse state of the grid.
+    Sixteen random 1d LP pairs, in-band draws under alternating unit
+    systems, run the round trip, the norm and inner-product correspondence
+    and the evolution commutation.  In 3d these complex-linear rows run on
+    eps_+ and eps_- under both unit systems, each paired with its own
+    evolution (eps_+ and eps_- are orthogonal, so they cannot pair with each
+    other): the maps they compare are diagonal in k and the basis fields
+    fill every nonzero mode, so the rows hold for every transverse state of
+    the grid.
 
     The real-linear rows (the helicity pair of a real F, the RS identity
     and both EM cross paths) need real E, B and A, which couple k with -k.
@@ -405,7 +388,7 @@ def suite_isomorphism(grid1: Grid, grid3: Grid, n_pairs: int = 16,
         inner_corr.append(abs(bb_inner(f, f_partner) - hbar * ip_lp) / abs(ip_lp))
         norm_corr.append(abs(f.norm - np.sqrt(hbar) * psi.norm) / (np.sqrt(hbar) * psi.norm))
 
-    for i in range(n_pairs):
+    for i in range(16):
         units = units_list[i % 2]
         psi, psi2 = (LPState(random_band_limited(grid1, rng), units) for _ in range(2))
         correspondence(psi, float(rng.uniform(-3.0, 3.0)), psi2)
@@ -447,13 +430,13 @@ def suite_isomorphism(grid1: Grid, grid3: Grid, n_pairs: int = 16,
     ])
 
 
-def suite_two_path(figset, grid1: Grid, grid3: Grid, n_random: int = 20,
-                   seed: int = 13) -> SuiteResult:
-    """The two routes to the energy density agree pointwise."""
+def suite_two_path(figset, grid1: Grid, grid3: Grid, seed: int = 13) -> SuiteResult:
+    """The two routes to the energy density agree pointwise: on the figure
+    states and on 20 random transverse LP and BB states, one in 7 in 3d."""
     rng = np.random.default_rng(seed)
     fig = [p.two_path_discrepancy for p in figset.panels.values()]
     corpus = []
-    for i in range(n_random):
+    for i in range(20):
         grid = grid3 if i % 7 == 0 else grid1
         field = random_band_limited(grid, rng, transverse=True)
         state = (LPState(field) if i % 2 == 0 else BBState(field))
@@ -481,9 +464,7 @@ def suite_parseval_energy(figset, grid1: Grid, seed: int = 17) -> SuiteResult:
 
     state_c = figset.states["c"]
     fc = to_frequency(state_c.f)
-    data0 = fc.data.copy()
-    data0[grid1.zero_mode_index()] = 0.0
-    norm0_sq = grid1.k_cell_volume * float(np.sum(np.abs(data0) ** 2))
+    norm0_sq = grid1.k_cell_volume * float(np.sum(np.abs(strip_zero_mode(fc).data) ** 2))
     psi_c = lp_from_bb(state_c, zero_mode="drop")
     spectral_c = state_c.units.hbar * lp_inner(
         psi_c, LPState(apply_frequency_power(psi_c.psi, 1.0))).real
@@ -780,8 +761,8 @@ def run_all_checks(grid_n: int = 4096, domain: float = 16.0,
     figset = figure2_report(fig_grid, pulse_length, units)
     return [
         _run_suite("operator-algebra", suite_operator_algebra, grid1, grid3, n_fields, seed),
-        _run_suite("isomorphism", suite_isomorphism, grid1, grid3, 16, seed + 1),
-        _run_suite("two-path-energy", suite_two_path, figset, grid1, grid3, 20, seed + 2),
+        _run_suite("isomorphism", suite_isomorphism, grid1, grid3, seed + 1),
+        _run_suite("two-path-energy", suite_two_path, figset, grid1, grid3, seed + 2),
         _run_suite("parseval-energy", suite_parseval_energy, figset, fig_grid, seed + 3),
         _run_suite("figure-truth-table", suite_truth_table, figset),
         _run_suite("nonlocality-floor", suite_nonlocality_floor, figset),

@@ -24,7 +24,6 @@ from .checks import run_all_checks
 from .energy import (DetectorVolume, energy_density, knight_locality_test,
                      total_energy)
 from .errors import InsufficientWindowError, PhotonlocError, ProbeCellError
-from .fields import to_position
 from .grid import Grid
 from .locality import (PHYSICAL_FLOOR, antilocality_witness, helicity_scans,
                        support_estimate, tail_exponent_fit,
@@ -103,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
                          description="Knight test, tail fit, antilocality "
                                      "witness and helicity scans.")
     loc.add_argument("state_file", nargs="?", default=None,
-                     help="state JSON (default: built-in compact LP pulse)")
+                     help="state JSON, analysed in the units saved in it "
+                          "(default: built-in compact LP pulse)")
     loc.add_argument("--grid-n", type=int, default=4096,
                      help="grid points for the built-in state (default 4096)")
     loc.add_argument("--domain-length", type=float, default=16.0,
@@ -289,6 +289,7 @@ def cmd_locality(args) -> int:
                              f"got {args.windows!r}")
     if args.state_file is not None:
         state = load_state(args.state_file)
+        units = state.units
         origin = args.state_file
     else:
         grid = Grid(1, args.domain_length, args.grid_n)
@@ -302,7 +303,7 @@ def cmd_locality(args) -> int:
         knight = knight_locality_test(
             emap, _parse_volume(args.source_volume, grid.dim), floor=args.floor)
     else:
-        supp = support_estimate(to_position(field), PHYSICAL_FLOOR)
+        supp = support_estimate(field, PHYSICAL_FLOOR)
         try:
             knight = knight_locality_test(emap, supp.volume(), floor=args.floor)
         except ProbeCellError as exc:
@@ -325,9 +326,8 @@ def cmd_locality(args) -> int:
     if grid.dim == 1:
         width = grid.length / 20.0
         lo = 0.35 * grid.length
-        witness = antilocality_witness(to_position(field),
-                                       DetectorVolume.interval(lo, lo + width),
-                                       units)
+        witness = antilocality_witness(
+            field, DetectorVolume.interval(lo, lo + width), units)
         half = 0.5 * args.pulse_length
         vp_built = vector_potential_localized_state(
             odd_pulse_profile(grid, args.pulse_length),

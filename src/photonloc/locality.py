@@ -71,8 +71,14 @@ class SupportEstimate:
 
 
 def support_estimate(obj, threshold: float) -> SupportEstimate:
+    """Support of a field or energy map at ``threshold`` of its peak; a
+    threshold outside [0, 1) or a peak that is not finite raises ValueError."""
+    if not (0.0 <= threshold < 1.0):
+        raise ValueError(f"threshold must lie in [0, 1), got {threshold!r}")
     grid, vals = _samples_of(obj)
     peak = float(np.max(vals))
+    if not np.isfinite(peak):
+        raise ValueError(f"support of samples whose peak is {peak}")
     if peak == 0.0:
         raise ZeroStateError("support of an identically vanishing field is empty")
     above = vals > threshold * peak

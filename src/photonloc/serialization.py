@@ -55,13 +55,10 @@ def write_csv(path, columns):
     """
     names = [name for name, _ in columns]
     arrays = [np.asarray(arr).ravel() for _, arr in columns]
-    n = arrays[0].size
-    if any(a.size != n for a in arrays):
+    if any(a.size != arrays[0].size for a in arrays):
         raise ValueError("all columns must have the same length")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(names) + "\n")
-        for i in range(n):
-            fh.write(",".join(f"{float(a[i]):.17g}" for a in arrays) + "\n")
+    np.savetxt(path, np.column_stack(arrays), fmt="%.17g", delimiter=",",
+               header=",".join(names), comments="", encoding="utf-8")
 
 
 def read_csv(path):

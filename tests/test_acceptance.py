@@ -15,10 +15,14 @@ alters the report's bytes updates ``REPORT_SHA256`` and says why.
 """
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 from photonloc import run_all_checks, write_json
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 REPORT_SHA256 = "40cfa5b6d1c0eeb517ec183a07d0f90bca80b8c410c79c9762aa223a0dcd8aab"
 
@@ -73,3 +77,13 @@ def test_default_report_bytes_are_pinned(results, tmp_path):
     write_json(path, {"suites": results,
                       "passed": all(suite.passed for suite in results)})
     assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_SHA256
+
+
+def test_the_benchmark_reads_the_suites_in_this_order(results, monkeypatch):
+    """The benchmark's ``verify`` workload counts an op as incorrect unless
+    run_all_checks returns exactly its ``SUITES``, in order."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert tuple(suite.name for suite in results) == workloads.SUITES

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 import photonloc
-from photonloc import Grid, LPState, SpectralField, cli, save_state
+from photonloc import (DetectorVolume, Grid, LPState, SpectralField, UnitsConfig,
+                       antilocality_witness, cli, load_state, make_lp_compact,
+                       save_state)
 from photonloc.checks import SuiteResult, _at_most
+from photonloc.serialization import jsonable
 
 from test_golden import _state_3d  # noqa: E402
 
@@ -184,6 +187,27 @@ def test_locality_saved_state_and_options(demo_dir, tmp_path):
     assert report["knight"]["source"]["kind"] == "interval"
     assert report["knight"]["source"]["lo"] == [-1.0]
     assert report["tail_fit"] is not None
+
+
+def test_locality_on_a_state_file_uses_the_units_saved_in_it(tmp_path):
+    """The unit flags set only the built-in state's units: a c = 2 state
+    file gets the library's c = 2 witness, whatever --c says."""
+    units = UnitsConfig(c=2.0)
+    grid = Grid(1, 16.0, 1024)
+    path = tmp_path / "state.json"
+    save_state(make_lp_compact(grid, 1.0, units), path)
+    reports = []
+    for flags in ([], ["--c", "3"]):
+        res = run_cli(["locality", str(path), *flags, "--output-dir", str(tmp_path)],
+                      cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        reports.append(json.loads((tmp_path / "locality_report.json").read_text()))
+    assert reports[0] == reports[1]
+    lo = 0.35 * grid.length
+    witness = antilocality_witness(load_state(path).field,
+                                   DetectorVolume.interval(lo, lo + grid.length / 20.0),
+                                   units)
+    assert reports[0]["antilocality_witness"] == jsonable(witness)
 
 
 def test_locality_unfittable_window_is_reported_not_fatal(tmp_path):

@@ -72,6 +72,23 @@ def test_support_guards(grid1_small):
         support_estimate(np.ones(grid1_small.n), SUPPORT_THRESHOLD)
 
 
+@pytest.mark.parametrize("threshold", [np.nan, -1.0, 1.0, 2.0, np.inf])
+def test_support_rejects_a_threshold_outside_zero_to_one(grid1_small, threshold):
+    with pytest.raises(ValueError, match="threshold"):
+        support_estimate(sin2_profile(grid1_small, 1.0), threshold)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("kind", ["field", "map"])
+def test_support_rejects_samples_whose_peak_is_not_finite(grid1_small, kind, bad):
+    values = np.abs(sin2_profile(grid1_small, 1.0).data)
+    values[3] = bad
+    obj = (SpectralField(grid1_small, values) if kind == "field"
+           else EnergyDensityMap(grid1_small, values, 0.0))
+    with pytest.raises(ValueError, match="peak"):
+        support_estimate(obj, SUPPORT_THRESHOLD)
+
+
 # --------------------------------------------------------------- tail fits
 
 def _synthetic_map(grid, values):

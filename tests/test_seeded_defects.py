@@ -62,12 +62,12 @@ def small_figset():
 
 def operator_suites():
     return (checks.suite_operator_algebra(GRID1, GRID3, n_fields=8),
-            checks.suite_isomorphism(GRID1, GRID3, n_pairs=5))
+            checks.suite_isomorphism(GRID1, GRID3))
 
 
 def energy_suites():
     figset = small_figset()
-    return (checks.suite_two_path(figset, GRID1, GRID3, n_random=8),
+    return (checks.suite_two_path(figset, GRID1, GRID3),
             checks.suite_parseval_energy(figset, GRID1))
 
 
@@ -325,7 +325,7 @@ def test_bb_field_off_above_half_nyquist_fails_the_isomorphism_rows(monkeypatch,
     pairs are in-band, and evolution commutes with the defective map."""
     plant(monkeypatch, "_bb_field", bb_field_scaled_above_half_nyquist(dim),
           source=state_module)
-    isomorphism = checks.suite_isomorphism(GRID1, GRID3, n_pairs=5)
+    isomorphism = checks.suite_isomorphism(GRID1, GRID3)
     assert failed(isomorphism) == BB_FIELD_ROWS[dim]
 
 
@@ -337,7 +337,7 @@ def test_bb_field_off_at_one_3d_mode_fails_the_round_trip_and_the_cross_path(
     fill every mode, so one draw per slot is enough to see it."""
     plant(monkeypatch, "_bb_field", bb_field_scaled(3, lambda grid: mode),
           source=state_module)
-    isomorphism = checks.suite_isomorphism(GRID1, GRID3, n_pairs=5)
+    isomorphism = checks.suite_isomorphism(GRID1, GRID3)
     assert {"lp-bb-round-trip", "em-cross-path-3d"} <= failed(isomorphism)
 
 
@@ -422,7 +422,7 @@ def test_operator_suites_measure_transversality_only_in_the_residual_row(monkeyp
     checks.suite_operator_algebra(GRID1, GRID3, n_fields=8)
     assert calls == [True] * 8
     calls.clear()
-    checks.suite_isomorphism(GRID1, GRID3, n_pairs=5)
+    checks.suite_isomorphism(GRID1, GRID3)
     assert calls == []
 
 

@@ -145,6 +145,23 @@ def test_csv_round_trip_full_precision(tmp_path, rng):
     assert np.array_equal(table["y"], y)
 
 
+@pytest.mark.parametrize("columns", [
+    [("x", np.empty(0)), ("y", np.empty(0))],
+    [("only", np.array([0.0, -0.0, 1e-300, -1e17, 2.5]))],
+], ids=["empty", "single-column"])
+def test_csv_edge_tables_round_trip(tmp_path, columns):
+    path = tmp_path / "table.csv"
+    write_csv(path, columns)
+    rows = zip(*(values for _, values in columns))
+    expected = [",".join(name for name, _ in columns)]
+    expected += [",".join(f"{float(v):.17g}" for v in row) for row in rows]
+    assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+    table = read_csv(path)
+    assert list(table) == [name for name, _ in columns]
+    for name, values in columns:
+        assert table[name].tobytes() == values.tobytes()
+
+
 def test_csv_validation(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "bad.csv", [("a", np.zeros(3)), ("b", np.zeros(4))])
