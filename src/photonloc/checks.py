@@ -216,12 +216,11 @@ def narrowband_state(grid: Grid, k0: float, rel_bandwidth: float) -> LPState:
 
 # ------------------------------------------------------------------ suites
 
-def suite_operator_algebra(grid1: Grid, grid3: Grid, n_fields: int = 50,
-                           seed: int = 7) -> SuiteResult:
+def suite_operator_algebra(grid1: Grid, grid3: Grid, seed: int = 7) -> SuiteResult:
     """Transform unitarity and the multiplier-operator algebra.
 
-    ``n_fields`` counts random fields: at most 50 for the 1d round trips,
-    20 for the 1d helicity rows and 8 for the 3d round trips and the
+    The random corpora are fixed: 50 fields for the 1d round trips, 20 for
+    the 1d helicity rows and 8 for the 3d round trips and the
     transversality residual.  The 3d algebra runs on eps_+ and eps_-.
     """
     rng = np.random.default_rng(seed)
@@ -233,7 +232,7 @@ def suite_operator_algebra(grid1: Grid, grid3: Grid, n_fields: int = 50,
         return abs(a - b) / b
 
     rt1, parseval1 = [], []
-    for _ in range(min(n_fields, 50)):
+    for _ in range(50):
         f = random_band_limited(grid1, rng)
         pos = to_position(f)
         rt1 += [_rel(to_position(to_frequency(pos)), pos),
@@ -241,7 +240,7 @@ def suite_operator_algebra(grid1: Grid, grid3: Grid, n_fields: int = 50,
         parseval1.append(parseval_gap(grid1, pos, f))
 
     rt3, parseval3, residual = [], [], []
-    for _ in range(min(n_fields, 8)):
+    for _ in range(8):
         f = transverse_project(random_band_limited(grid3, rng))
         residual.append(transversality_residual(f))
         pos = to_position(f)
@@ -284,7 +283,7 @@ def suite_operator_algebra(grid1: Grid, grid3: Grid, n_fields: int = 50,
     proj_basis = _rel(transverse_project(both + unit_k), both)
 
     lam1, proj1 = [], []
-    for _ in range(min(n_fields, 20)):
+    for _ in range(20):
         f = random_band_limited(grid1, rng)
         peak = _peak(f)
         lam1.append(_rel(helicity_apply(helicity_apply(f)), f, peak))
@@ -735,8 +734,8 @@ def _run_suite(name: str, suite, *args) -> SuiteResult:
 
 
 def run_all_checks(grid_n: int = 4096, domain: float = 16.0,
-                   pulse_length: float = 1.0, n_fields: int = 50,
-                   seed: int = 7, floor: float = PHYSICAL_FLOOR,
+                   pulse_length: float = 1.0, seed: int = 7,
+                   floor: float = PHYSICAL_FLOOR,
                    units: UnitsConfig = NATURAL) -> list:
     """Run every suite and return the list of SuiteResults.
 
@@ -746,21 +745,19 @@ def run_all_checks(grid_n: int = 4096, domain: float = 16.0,
     fail).  The figure-based suites always run at the committed
     demonstration parameters (N = 4096, box 16) so their numbers are
     comparable across configurations.  A ``floor`` that is not finite and
-    positive, fewer than one random field, or a grid or pulse that cannot
-    be built raises before any suite runs.  A suite that raises comes back
-    failed, with one NaN row naming the exception, and the others still run.
+    positive, or a grid or pulse that cannot be built, raises before any
+    suite runs.  A suite that raises comes back failed, with one NaN row
+    naming the exception, and the others still run.
     """
     if not (0.0 < floor < np.inf):
         raise ValueError(f"floor must be finite and positive, got {floor}")
-    if n_fields < 1:
-        raise ValueError(f"n_fields must be at least 1, got {n_fields}")
     grid1 = Grid(1, domain, grid_n)
     n3 = 2 * (int(np.sqrt(grid_n)) // 2)
     grid3 = Grid(3, domain, min(64, max(16, n3)))
     fig_grid = Grid(1, 16.0, 4096)
     figset = figure2_report(fig_grid, pulse_length, units)
     return [
-        _run_suite("operator-algebra", suite_operator_algebra, grid1, grid3, n_fields, seed),
+        _run_suite("operator-algebra", suite_operator_algebra, grid1, grid3, seed),
         _run_suite("isomorphism", suite_isomorphism, grid1, grid3, seed + 1),
         _run_suite("two-path-energy", suite_two_path, figset, grid1, grid3, seed + 2),
         _run_suite("parseval-energy", suite_parseval_energy, figset, fig_grid, seed + 3),

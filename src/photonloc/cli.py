@@ -134,11 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="corpus box length (default 16)")
     check.add_argument("--pulse-length", type=float, default=1.0,
                        help="pulse length (default 1)")
-    check.add_argument("--n-fields", type=int, default=50,
-                       help="random fields per corpus, at most 50 for "
-                            "the 1d round trips, 20 for the 1d helicity rows "
-                            "and 8 in 3d; the 3d operator algebra always runs "
-                            "on the two helicity basis fields (default 50)")
     check.add_argument("--seed", type=int, default=7,
                        help="corpus seed (default 7)")
     check.add_argument("--floor", type=float, default=PHYSICAL_FLOOR,
@@ -380,8 +375,7 @@ def cmd_check(args) -> int:
     out_needed = args.format == "json"
     units = _units_from(args)
     suites = run_all_checks(grid_n=args.grid_n, domain=args.domain_length,
-                            pulse_length=args.pulse_length,
-                            n_fields=args.n_fields, seed=args.seed,
+                            pulse_length=args.pulse_length, seed=args.seed,
                             floor=args.floor, units=units)
     width = max(len(s.name) for s in suites)
     print(f"{'suite':<{width}}  checks  status")

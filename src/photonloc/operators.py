@@ -184,7 +184,14 @@ def _helicity_parts(field: SpectralField, signs) -> tuple:
 
 
 def helicity_project(field: SpectralField, sign: int) -> SpectralField:
-    """Projector onto the helicity-(+1) or (-1) subspace, (1 + sign*L)/2."""
+    """Projector onto the helicity-(+1) or (-1) subspace, (1 + sign*L)/2.
+
+    The part claims its helicity (``helicity = sign``, trusted by the
+    vanishing scan) only if the input is transverse (flagged, or measured
+    in 3d) and its frequency-domain mean is exactly 0.  A position-domain
+    input's mean comes back at rounding level, so its part is measured by
+    the scan unless strip_zero_mode goes first.
+    """
     if sign not in (1, -1):
         raise ValueError(f"helicity sign must be +1 or -1, got {sign}")
     return _helicity_parts(field, (sign,))[0]
@@ -193,8 +200,9 @@ def helicity_project(field: SpectralField, sign: int) -> SpectralField:
 def helicity_parts(field: SpectralField) -> tuple:
     """Both helicity parts (P(+) v, P(-) v), in the input's domain.
 
-    They equal two helicity_project calls exactly, at the cost of one
-    forward transform and one application of L.
+    They equal two helicity_project calls exactly, claims included (none
+    for a position-domain input unless strip_zero_mode goes first), at the
+    cost of one forward transform and one application of L.
     """
     return _helicity_parts(field, (1, -1))
 

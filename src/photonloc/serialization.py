@@ -68,12 +68,13 @@ def read_csv(path):
         if not header:
             raise SchemaError(f"{path}: empty CSV")
         names = header.split(",")
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise SchemaError(f"{path}: malformed CSV ({exc})") from exc
-    if data.size == 0:
+        rows = [line for line in fh if line.strip()]
+    if not rows:
         return {name: np.empty(0) for name in names}
+    try:
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: malformed CSV ({exc})") from exc
     if data.shape[1] != len(names):
         raise SchemaError(f"{path}: {data.shape[1]} columns, header names {len(names)}")
     return {name: data[:, i].copy() for i, name in enumerate(names)}

@@ -33,10 +33,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridMismatchError, ZeroStateError
-from .fields import (FREQUENCY, SpectralField, _trusted, l2_inner, l2_norm,
+from .fields import (FREQUENCY, SpectralField, l2_inner, l2_norm,
                      require_transverse, to_frequency, to_position)
-from .operators import (apply_frequency_power, curl, helicity_apply, omega,
-                        omega_power, zero_mode_guard)
+from .operators import (_same_domain, apply_frequency_power, curl, helicity_apply,
+                        omega, omega_power, zero_mode_guard)
 from .units import NATURAL, UnitsConfig
 
 REAL_TOL = 1e-12
@@ -254,7 +254,5 @@ def evolve(state, t: float):
     """Free evolution by the diagonal phase exp(-i w(k) t)."""
     ff = to_frequency(state.field)
     phase = np.exp(-1j * omega(ff.grid, state.units) * float(t))
-    out = _trusted(ff.grid, ff.data * phase, FREQUENCY, ff.transverse)
-    if state.field.is_position:
-        out = to_position(out)
-    return type(state)(out, state.units)
+    return type(state)(_same_domain(state.field, ff.data * phase, ff.transverse),
+                       state.units)

@@ -42,8 +42,7 @@ CRITERIA = [
 
 @pytest.fixture(scope="module")
 def results():
-    return run_all_checks(grid_n=4096, domain=16.0, pulse_length=1.0,
-                          n_fields=50, seed=7)
+    return run_all_checks(grid_n=4096, domain=16.0, pulse_length=1.0, seed=7)
 
 
 @pytest.fixture(scope="module")

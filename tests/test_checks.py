@@ -257,13 +257,7 @@ def test_narrowband_state_centered(grid1):
 @pytest.mark.parametrize("floor", [np.inf, np.nan, 0.0, -1e-8])
 def test_run_all_checks_rejects_a_floor_that_is_not_finite_and_positive(floor):
     with pytest.raises(ValueError, match="floor must be finite and positive"):
-        run_all_checks(grid_n=256, n_fields=4, floor=floor)
-
-
-@pytest.mark.parametrize("n_fields", [0, -3])
-def test_run_all_checks_rejects_an_empty_random_corpus(n_fields):
-    with pytest.raises(ValueError, match="n_fields must be at least 1"):
-        run_all_checks(grid_n=256, n_fields=n_fields)
+        run_all_checks(grid_n=256, floor=floor)
 
 
 @pytest.mark.parametrize("grid_n, n3", [(4096, 64), (16384, 64), (1024, 32),

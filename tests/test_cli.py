@@ -293,6 +293,7 @@ def test_energy_3d_builds_only_the_energy_map(state_3d_file, tmp_path, monkeypat
     ["locality", "--log-scale"],
     ["check", "--plot", "none"],
     ["check", "--log-scale"],
+    ["check", "--n-fields", "4"],
 ])
 def test_output_options_a_subcommand_does_not_read_are_rejected(capsys, args):
     with pytest.raises(SystemExit) as exc:
@@ -314,7 +315,7 @@ def test_locality_default_source_covering_the_box_names_the_option(demo_dir, tmp
 
 
 def test_check_passes_at_reduced_resolution(tmp_path):
-    res = run_cli(["check", "--grid-n", "256", "--n-fields", "4",
+    res = run_cli(["check", "--grid-n", "256",
                    "--format", "json", "--output-dir", str(tmp_path)],
                   cwd=tmp_path)
     assert res.returncode == 0, res.stdout + res.stderr
@@ -325,8 +326,7 @@ def test_check_passes_at_reduced_resolution(tmp_path):
 
 
 def test_check_detects_infeasible_floor(tmp_path):
-    res = run_cli(["check", "--grid-n", "256", "--n-fields", "4",
-                   "--floor", "1e-30"], cwd=tmp_path)
+    res = run_cli(["check", "--grid-n", "256", "--floor", "1e-30"], cwd=tmp_path)
     assert res.returncode == 2
     assert "NUMERICAL VERIFICATION FAILED" in res.stdout
     assert "failed:" in res.stdout
@@ -335,26 +335,15 @@ def test_check_detects_infeasible_floor(tmp_path):
 @pytest.mark.parametrize("args", [
     ["locality", "--grid-n", "1024", "--floor", "inf"],
     ["locality", "--grid-n", "1024", "--floor", "nan"],
-    ["check", "--grid-n", "256", "--n-fields", "4", "--floor", "nan"],
-    ["check", "--grid-n", "256", "--n-fields", "4", "--floor", "inf"],
-    ["check", "--grid-n", "256", "--n-fields", "4", "--floor", "0"],
+    ["check", "--grid-n", "256", "--floor", "nan"],
+    ["check", "--grid-n", "256", "--floor", "inf"],
+    ["check", "--grid-n", "256", "--floor", "0"],
 ])
 def test_floor_must_be_finite_and_positive(tmp_path, args):
     report = ["--format", "json"] if args[0] == "check" else []
     res = run_cli(args + report + ["--output-dir", str(tmp_path)], cwd=tmp_path)
     assert_cli_error(res)
     assert "floor must be finite and positive" in res.stderr
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("n_fields", ["0", "-3"])
-def test_check_rejects_an_empty_random_corpus(tmp_path, n_fields):
-    res = run_cli(["check", "--grid-n", "256", "--n-fields", n_fields,
-                   "--format", "json", "--output-dir", str(tmp_path)],
-                  cwd=tmp_path)
-    assert_cli_error(res)
-    assert "n_fields must be at least 1" in res.stderr
-    assert "all suites passed" not in res.stdout
     assert list(tmp_path.iterdir()) == []
 
 

@@ -41,7 +41,7 @@ from photonloc import (BBState, Grid, LPState, SpectralField, cli, curl,
 GOLDEN = Path(__file__).resolve().with_name("golden")
 
 CASES = {
-    "check": ["check", "--grid-n", "256", "--n-fields", "4", "--format", "json"],
+    "check": ["check", "--grid-n", "256", "--format", "json"],
     "demo-fig2-csv": ["demo-fig2", "--grid-n", "1024", "--plot", "none"],
     "demo-fig2-json": ["demo-fig2", "--grid-n", "1024", "--format", "json",
                        "--plot", "none"],

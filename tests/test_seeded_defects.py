@@ -61,7 +61,7 @@ def small_figset():
 
 
 def operator_suites():
-    return (checks.suite_operator_algebra(GRID1, GRID3, n_fields=8),
+    return (checks.suite_operator_algebra(GRID1, GRID3),
             checks.suite_isomorphism(GRID1, GRID3))
 
 
@@ -161,14 +161,14 @@ def nan_in_synthesis(original):
 
 def test_nan_in_synthesis_fails_the_momentum_round_trip(monkeypatch):
     plant(monkeypatch, "synthesize_from_amplitudes", nan_in_synthesis)
-    algebra = checks.suite_operator_algebra(GRID1, GRID3, n_fields=8)
+    algebra = checks.suite_operator_algebra(GRID1, GRID3)
     row, = (c for c in algebra.checks if c.name == "momentum-amplitude-round-trip")
     assert not row.ok and np.isnan(row.value)
 
 
 def test_nan_in_synthesis_makes_check_exit_2(monkeypatch, capsys):
     plant(monkeypatch, "synthesize_from_amplitudes", nan_in_synthesis)
-    assert cli.main(["check", "--grid-n", "256", "--n-fields", "4"]) == 2
+    assert cli.main(["check", "--grid-n", "256"]) == 2
     assert "failed: momentum-amplitude-round-trip: nan" in capsys.readouterr().out
 
 
@@ -188,7 +188,7 @@ def nan_at_one_3d_helicity_mode(original):
 def test_nan_at_one_3d_helicity_mode_fails_operator_algebra(monkeypatch):
     """Each row the NaN reaches must read NaN and fail."""
     plant(monkeypatch, "helicity_apply", nan_at_one_3d_helicity_mode)
-    algebra = checks.suite_operator_algebra(GRID1, GRID3, n_fields=8)
+    algebra = checks.suite_operator_algebra(GRID1, GRID3)
     assert {"helicity-squared-3d", "curl-frequency-helicity-commutation",
             "projector-idempotence", "projector-annihilation",
             "projector-completeness-3d",
@@ -201,7 +201,7 @@ def test_a_suite_that_raises_fails_and_check_still_prints_every_suite(monkeypatc
     state rejects it with ValueError: that suite fails with one NaN row
     naming the exception, the other suites still run, and check exits 2."""
     plant(monkeypatch, "helicity_apply", nan_at_one_3d_helicity_mode)
-    assert cli.main(["check", "--grid-n", "256", "--n-fields", "4"]) == 2
+    assert cli.main(["check", "--grid-n", "256"]) == 2
     out = capsys.readouterr().out
     assert re.search(r"^isomorphism +1 +FAIL$", out, re.M)
     assert "  failed: raised ValueError: state norm must be finite, got nan: nan" in out
@@ -282,7 +282,7 @@ def test_leaky_transverse_project_fails_the_residual_row(monkeypatch):
             return fields._trusted(out.grid, leaky, out.domain, True)
         return transverse_project
     plant(monkeypatch, "transverse_project", make_defect)
-    algebra = checks.suite_operator_algebra(GRID1, GRID3, n_fields=8)
+    algebra = checks.suite_operator_algebra(GRID1, GRID3)
     assert {"transversality-residual", "transverse-projector-basis"} <= failed(algebra)
 
 
@@ -344,7 +344,7 @@ def test_bb_field_off_at_one_3d_mode_fails_the_round_trip_and_the_cross_path(
 def test_bb_field_off_above_half_nyquist_in_3d_makes_check_exit_2(monkeypatch, capsys):
     plant(monkeypatch, "_bb_field", bb_field_scaled_above_half_nyquist(3),
           source=state_module)
-    assert cli.main(["check", "--grid-n", "256", "--n-fields", "4"]) == 2
+    assert cli.main(["check", "--grid-n", "256"]) == 2
     out = capsys.readouterr().out
     assert re.search(r"^isomorphism +9 +FAIL$", out, re.M)
     assert set(re.findall(r"^  failed: ([\w-]+):", out, re.M)) == BB_FIELD_ROWS[3]
@@ -364,7 +364,7 @@ def test_helicity_halved_above_half_nyquist_fails_the_basis_rows(monkeypatch):
             return planted if out.domain == FREQUENCY else fields.to_position(planted)
         return helicity_apply
     plant(monkeypatch, "helicity_apply", make_defect)
-    algebra = checks.suite_operator_algebra(GRID1, GRID3, n_fields=8)
+    algebra = checks.suite_operator_algebra(GRID1, GRID3)
     assert {"helicity-squared-3d", "curl-frequency-helicity-commutation",
             "projector-idempotence", "projector-annihilation",
             "basis-helicity-eigenvalue"} <= failed(algebra)
@@ -383,7 +383,7 @@ def test_transverse_project_skipping_high_modes_fails_the_basis_row(monkeypatch)
             return planted if field.is_frequency else fields.to_position(planted)
         return transverse_project
     plant(monkeypatch, "transverse_project", make_defect)
-    algebra = checks.suite_operator_algebra(GRID1, GRID3, n_fields=8)
+    algebra = checks.suite_operator_algebra(GRID1, GRID3)
     assert "transverse-projector-basis" in failed(algebra)
 
 
@@ -393,7 +393,7 @@ def test_swapped_polarization_table_fails_the_basis_eigenvalue_row(monkeypatch):
     original = Grid.polarization_table.func
     monkeypatch.setattr(Grid, "polarization_table", property(
         lambda grid: original(grid)[::-1]))
-    algebra = checks.suite_operator_algebra(GRID1, GRID3, n_fields=8)
+    algebra = checks.suite_operator_algebra(GRID1, GRID3)
     assert "basis-helicity-eigenvalue" in failed(algebra)
 
 
@@ -419,7 +419,7 @@ def unflagged_curl_field() -> SpectralField:
 
 def test_operator_suites_measure_transversality_only_in_the_residual_row(monkeypatch):
     calls = spy_on_measurements(monkeypatch)
-    checks.suite_operator_algebra(GRID1, GRID3, n_fields=8)
+    checks.suite_operator_algebra(GRID1, GRID3)
     assert calls == [True] * 8
     calls.clear()
     checks.suite_isomorphism(GRID1, GRID3)
