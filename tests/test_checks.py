@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -258,6 +260,26 @@ def test_narrowband_state_centered(grid1):
 def test_run_all_checks_rejects_a_floor_that_is_not_finite_and_positive(floor):
     with pytest.raises(ValueError, match="floor must be finite and positive"):
         run_all_checks(grid_n=256, floor=floor)
+
+
+@pytest.mark.parametrize("entry", [run_all_checks, checks.suite_operator_algebra,
+                                   checks.suite_isomorphism, checks.suite_two_path],
+                         ids=lambda entry: entry.__name__)
+def test_no_entry_point_takes_a_corpus_size(entry):
+    assert [name for name in inspect.signature(entry).parameters
+            if name.startswith("n_")] == []
+
+
+def test_operator_algebra_draws_fixed_corpora(monkeypatch):
+    """50 1d round-trip fields, 20 1d helicity fields and 8 3d fields."""
+    dims = []
+
+    def counting(grid, rng, transverse=False):
+        dims.append(grid.dim)
+        return random_band_limited(grid, rng, transverse)
+    monkeypatch.setattr(checks, "random_band_limited", counting)
+    checks.suite_operator_algebra(GRID1, GRID3)
+    assert dims == [1] * 50 + [3] * 8 + [1] * 20
 
 
 @pytest.mark.parametrize("grid_n, n3", [(4096, 64), (16384, 64), (1024, 32),

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,19 @@ def test_csv_edge_tables_round_trip(tmp_path, columns):
     assert list(table) == [name for name, _ in columns]
     for name, values in columns:
         assert table[name].tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("text", ["x,y\n", "x,y", "x,y\n\n  \n"],
+                         ids=["header-line", "no-newline", "blank-lines"])
+def test_read_csv_of_a_header_without_rows_is_empty_and_silent(tmp_path, text):
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = read_csv(path)
+    assert list(table) == ["x", "y"]
+    for values in table.values():
+        assert values.shape == (0,) and values.dtype == np.float64
 
 
 def test_csv_validation(tmp_path):

@@ -272,6 +272,20 @@ def test_evolve_identity_and_unitarity(grid1, rng):
     assert _rel(back.psi, lp.psi) < 1e-11
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+def test_evolve_keeps_the_domain_and_agrees_across_domains_bit_for_bit(
+        dim, grid1, grid3, rng):
+    grid = grid1 if dim == 1 else grid3
+    freq = random_band_limited(grid, rng, transverse=True)
+    pos = to_position(freq)
+    freq = to_frequency(pos)
+    moved_pos = evolve(BBState(pos), 0.9)
+    moved_freq = evolve(BBState(freq), 0.9)
+    assert moved_pos.f.is_position and moved_freq.f.is_frequency
+    assert moved_pos.f.transverse and moved_freq.f.transverse
+    assert np.array_equal(moved_pos.f.data, to_position(moved_freq.f).data)
+
+
 def test_evolve_plane_wave_phase(grid_2pi):
     f = SpectralField(grid_2pi, np.exp(3j * grid_2pi.axis))
     state = BBState(f)
