@@ -46,6 +46,7 @@ CASES = {
     "demo-fig2-json": ["demo-fig2", "--grid-n", "1024", "--format", "json",
                        "--plot", "none"],
     "energy-1d": ["energy", "state_c.json"],
+    "energy-1d-log": ["energy", "state_c.json", "--log-scale"],
     "locality-1d": ["locality", "state_a.json"],
     "energy-3d-lp": ["energy", "state_3d_lp.json", "--format", "json"],
     "energy-3d-bb": ["energy", "state_3d_bb.json", "--format", "json"],
@@ -56,13 +57,14 @@ CASES = {
 }
 
 # Files a case writes that repeat another golden file byte for byte: the
-# log-scale panels d-f hold the data of a-c, and both demo runs save the
-# same states.
+# log-scale panels d-f hold the data of a-c, both demo runs save the same
+# states, and a log-scale energy plot writes the same table as the linear one.
 ALIASES = {
     "demo-fig2-csv": {f"panel_{log}.csv": f"demo-fig2-csv/panel_{lin}.csv"
                       for log, lin in zip("def", "abc")},
     "demo-fig2-json": {f"states/state_{s}.json": f"demo-fig2-csv/states/state_{s}.json"
                        for s in "abc"},
+    "energy-1d-log": {"energy.csv": "energy-1d/energy.csv"},
 }
 
 
