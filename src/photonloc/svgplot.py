@@ -87,15 +87,27 @@ def _y_range(curves, log_y):
     return min(lo, 0.0) if lo >= 0.0 else lo - pad, hi + pad
 
 
+def _points(px, py) -> str:
+    """Polyline points ``"x,y x,y ..."`` with two decimals per coordinate,
+    formatted in one pass over the interleaved coordinates."""
+    xy = np.column_stack((px, py)).ravel().tolist()
+    return " ".join(["%.2f,%.2f"] * len(px)) % tuple(xy)
+
+
 def line_plot(path, x, curves, title="", xlabel="", ylabel="", log_y=False):
     """Write an SVG panel of the curves against x.
 
-    ``curves`` is a sequence of (label, values) pairs.  On a log axis,
-    values more than 16 decades below the panel maximum (or nonpositive)
-    are clipped to the display floor.
+    ``curves`` is a sequence of (label, values) pairs, each as long as x.
+    On a log axis, values more than 16 decades below the panel maximum (or
+    nonpositive) are clipped to the display floor; non-finite values are
+    left out of the polyline.
     """
     x = np.asarray(x, dtype=float)
     curves = [(label, np.asarray(y, dtype=float)) for label, y in curves]
+    for label, y in curves:
+        if y.shape != x.shape:
+            raise ValueError(f"curve {label!r} has shape {y.shape}, "
+                             f"x has shape {x.shape}")
     frame = _Frame(float(x.min()), float(x.max()), *_y_range(curves, log_y), log_y)
 
     parts = [
@@ -133,12 +145,11 @@ def line_plot(path, x, curves, title="", xlabel="", ylabel="", log_y=False):
     for i, (label, y) in enumerate(curves):
         color = PALETTE[i % len(PALETTE)]
         dash = DASHES[i % len(DASHES)]
-        yy = y.astype(float).copy()
         if log_y:
             floor = frame.ylo
-            yy = np.where(np.isfinite(yy) & (yy > 0.0), np.maximum(yy, floor), floor)
-        pts = " ".join(f"{frame.px(xv):.2f},{frame.py(yv):.2f}"
-                       for xv, yv in zip(x, yy) if np.isfinite(yv))
+            y = np.where(np.isfinite(y) & (y > 0.0), np.maximum(y, floor), floor)
+        keep = np.isfinite(y)
+        pts = _points(frame.px(x[keep]), frame.py(y[keep]))
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.6"{dash_attr}/>')

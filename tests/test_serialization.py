@@ -176,6 +176,49 @@ def test_read_csv_of_a_header_without_rows_is_empty_and_silent(tmp_path, text):
         assert values.shape == (0,) and values.dtype == np.float64
 
 
+_SAVETXT_RNG = np.random.default_rng(2024)
+
+
+@pytest.mark.parametrize("columns", [
+    [("x", np.empty(0)), ("y", np.empty(0))],
+    [("only", np.linspace(-1.0, 1.0, 7))],
+    [("i", np.arange(-3, 4)), ("flag", np.arange(7) % 2 == 0)],
+    [("flag", np.array([True, False, True]))],
+    [("u", np.arange(3, dtype=np.uint8)), ("f", np.array([0.5, -1.5, 2.0]))],
+    [("special", np.array([-0.0, 5e-324, np.nan, np.inf, -np.inf, 1e308])),
+     ("plain", np.array([0.0, 1.0, -1.0, 0.1, 1e-17, 123456789.0]))],
+    [(name, _SAVETXT_RNG.standard_normal(4096) * 10.0 ** _SAVETXT_RNG.integers(-30, 30))
+     for name in ("a", "b", "c", "d")],
+], ids=["zero-rows", "one-column", "int-and-bool", "bool", "uint-and-float",
+        "special-values", "random-4096x4"])
+def test_csv_bytes_match_savetxt(tmp_path, columns):
+    path, reference = tmp_path / "table.csv", tmp_path / "reference.csv"
+    write_csv(path, columns)
+    np.savetxt(reference, np.column_stack([values for _, values in columns]),
+               fmt="%.17g", delimiter=",", comments="", encoding="utf-8",
+               header=",".join(name for name, _ in columns))
+    assert path.read_bytes() == reference.read_bytes()
+
+
+def test_csv_bytes_match_savetxt_across_row_blocks(tmp_path, monkeypatch, rng):
+    monkeypatch.setattr("photonloc.serialization.CSV_BLOCK_ROWS", 3)
+    columns = [("x", rng.standard_normal(10)), ("y", rng.standard_normal(10))]
+    path, reference = tmp_path / "table.csv", tmp_path / "reference.csv"
+    write_csv(path, columns)
+    np.savetxt(reference, np.column_stack([values for _, values in columns]),
+               fmt="%.17g", delimiter=",", comments="", header="x,y")
+    assert path.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("values", [np.array([1 + 2j, 3.0]), np.array(["a", "b"])],
+                         ids=["complex", "text"])
+def test_write_csv_rejects_columns_that_are_not_real_numbers(tmp_path, values):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match="real numbers"):
+        write_csv(path, [("x", np.zeros(2)), ("bad", values)])
+    assert not path.exists()
+
+
 def test_csv_validation(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "bad.csv", [("a", np.zeros(3)), ("b", np.zeros(4))])
