@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -196,11 +197,14 @@ def cmd_demo_fig2(args) -> int:
         save_state(state, os.path.join(state_dir, f"state_{label}.json"))
 
     if args.format == "csv":
-        for label in ("a", "b", "c", "d", "e", "f"):
+        # A log-scale panel (d-f) holds the arrays of its linear one (a-c),
+        # so each table is formatted once and its bytes copied.
+        for label in ("a", "b", "c"):
             panel = figset.panels[label]
-            write_csv(os.path.join(out, f"panel_{label}.csv"),
-                      _panel_columns(panel.x, panel.lp_abs, panel.bb_abs,
-                                     panel.energy))
+            path = os.path.join(out, f"panel_{label}.csv")
+            write_csv(path, _panel_columns(panel.x, panel.lp_abs, panel.bb_abs,
+                                           panel.energy))
+            shutil.copyfile(path, os.path.join(out, f"panel_{chr(ord(label) + 3)}.csv"))
     else:
         bundle = {
             "grid": {"dim": 1, "length": grid.length, "n": grid.n},

@@ -188,9 +188,10 @@ def helicity_project(field: SpectralField, sign: int) -> SpectralField:
 
     The part claims its helicity (``helicity = sign``, trusted by the
     vanishing scan) only if the input is transverse (flagged, or measured
-    in 3d) and its frequency-domain mean is exactly 0.  A position-domain
-    input's mean comes back at rounding level, so its part is measured by
-    the scan unless strip_zero_mode goes first.
+    in 3d) and its frequency-domain mean is exactly 0.  Precondition: a
+    position-domain field claims its helicity only after strip_zero_mode.
+    Even a zero-mean one has its transformed zero mode at rounding level,
+    not 0, so its part claims nothing and the scan measures it.
     """
     if sign not in (1, -1):
         raise ValueError(f"helicity sign must be +1 or -1, got {sign}")
@@ -200,9 +201,11 @@ def helicity_project(field: SpectralField, sign: int) -> SpectralField:
 def helicity_parts(field: SpectralField) -> tuple:
     """Both helicity parts (P(+) v, P(-) v), in the input's domain.
 
-    They equal two helicity_project calls exactly, claims included (none
-    for a position-domain input unless strip_zero_mode goes first), at the
-    cost of one forward transform and one application of L.
+    They equal two helicity_project calls exactly, claims included, at the
+    cost of one forward transform and one application of L.  As there, a
+    position-domain field claims its helicity only after strip_zero_mode:
+    its transformed zero mode sits at rounding level, so without it both
+    parts claim 0.
     """
     return _helicity_parts(field, (1, -1))
 

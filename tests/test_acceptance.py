@@ -4,8 +4,7 @@ Each test takes one verification suite, prints a single PASS/FAIL line
 (with the failing measurements, if any), and asserts that every check in
 the suite holds at its stated tolerance.  The suites run once per session
 at the committed default parameters: corpus grids of 4096 points (1d) and
-64**3 points (3d) on a box of 16, pulse length 1, natural units, 50 random
-fields per corpus.
+64**3 points (3d) on a box of 16, pulse length 1, natural units.
 
 The same run also pins the bytes of the report that ``photonloc check
 --format json`` writes at these defaults.  Like the golden files, the pin
@@ -24,7 +23,7 @@ from photonloc import run_all_checks, write_json
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-REPORT_SHA256 = "40cfa5b6d1c0eeb517ec183a07d0f90bca80b8c410c79c9762aa223a0dcd8aab"
+REPORT_SHA256 = "b528d7e9ad11a06d9958af602666c4602400187db17765ec8ce08b5ee936579b"
 
 CRITERIA = [
     ("01", "operator-algebra"),

@@ -221,19 +221,37 @@ def test_random_fields_transform_and_project_only_what_they_must(kind, grid1_sma
     assert projections == []
 
 
-def test_the_isomorphism_suite_makes_23_3d_transforms(monkeypatch):
-    """9 forward and 14 inverse: the complex-linear 3d
-    rows run on the basis fields in the frequency domain and make none, and
-    the real-linear rows make all of them, three inverse for the draws.  A
-    state computes its norm only when a row reads it."""
+def count_3d_transforms(monkeypatch) -> dict:
+    """Calls of fields.forward_transform and inverse_transform on 3d fields,
+    as {"forward": n, "inverse": n}."""
     counts = {"forward": 0, "inverse": 0}
     for kind in counts:
         def counted(field, kind=kind, original=getattr(fields, f"{kind}_transform")):
             counts[kind] += field.grid.dim == 3
             return original(field)
         monkeypatch.setattr(fields, f"{kind}_transform", counted)
+    return counts
+
+
+def test_the_isomorphism_suite_makes_21_3d_transforms(monkeypatch):
+    """8 forward and 13 inverse: the complex-linear 3d
+    rows run on the basis fields in the frequency domain and make none, and
+    the real-linear rows make all of them, three inverse for the draws.  The
+    helicity pair of the real F is split and checked in the frequency domain.
+    A state computes its norm only when a row reads it."""
+    counts = count_3d_transforms(monkeypatch)
     assert checks.suite_isomorphism(GRID1, GRID3).passed
-    assert counts == {"forward": 9, "inverse": 14}
+    assert counts == {"forward": 8, "inverse": 13}
+
+
+def test_the_operator_algebra_suite_makes_13_3d_transforms(monkeypatch):
+    """8 forward and 5 inverse: one forward per plane wave, one round trip
+    each for the white draw, eps_+ and eps_-, and one synthesis and its
+    forward transform per basis field.  Every other row runs in the
+    frequency domain."""
+    counts = count_3d_transforms(monkeypatch)
+    assert checks.suite_operator_algebra(GRID1, GRID3).passed
+    assert counts == {"forward": 8, "inverse": 5}
 
 
 def test_random_compact_bump_is_compact(grid1, rng):
@@ -270,16 +288,20 @@ def test_no_entry_point_takes_a_corpus_size(entry):
             if name.startswith("n_")] == []
 
 
-def test_operator_algebra_draws_fixed_corpora(monkeypatch):
-    """50 1d round-trip fields, 20 1d helicity fields and 8 3d fields."""
-    dims = []
+def test_operator_algebra_draws_one_white_field_per_grid(monkeypatch):
+    """One draw at every nonzero mode off the Nyquist planes on the 1d grid,
+    then one of three components on the 3d grid, which the suite projects
+    itself; no band-limited corpus."""
+    draws = []
 
-    def counting(grid, rng, transverse=False):
-        dims.append(grid.dim)
-        return random_band_limited(grid, rng, transverse)
-    monkeypatch.setattr(checks, "random_band_limited", counting)
+    def counting(grid, limit, rng, transverse):
+        draws.append((grid, limit, transverse))
+        return draw(grid, limit, rng, transverse)
+    draw = checks._draw
+    monkeypatch.setattr(checks, "_draw", counting)
+    monkeypatch.setattr(checks, "random_band_limited", None)
     checks.suite_operator_algebra(GRID1, GRID3)
-    assert dims == [1] * 50 + [3] * 8 + [1] * 20
+    assert draws == [(GRID1, np.inf, False), (GRID3, np.inf, False)]
 
 
 @pytest.mark.parametrize("grid_n, n3", [(4096, 64), (16384, 64), (1024, 32),

@@ -80,6 +80,23 @@ def test_demo_is_deterministic(demo_dir, tmp_path):
         assert (out / rel).read_bytes() == (tmp_path / rel).read_bytes()
 
 
+def test_demo_formats_each_panel_table_once(tmp_path, monkeypatch, capsys):
+    """Panels d-f hold the arrays of a-c, so their tables are the a-c files'
+    bytes, copied rather than formatted again."""
+    written = []
+
+    def spy(path, columns, original=cli.write_csv):
+        written.append(os.path.basename(path))
+        return original(path, columns)
+    monkeypatch.setattr(cli, "write_csv", spy)
+    assert cli.main(["demo-fig2", "--grid-n", "1024", "--plot", "none",
+                     "--output-dir", str(tmp_path)]) == 0
+    assert written == ["panel_a.csv", "panel_b.csv", "panel_c.csv"]
+    for log, lin in zip("def", "abc"):
+        assert (tmp_path / f"panel_{log}.csv").read_bytes() \
+            == (tmp_path / f"panel_{lin}.csv").read_bytes()
+
+
 def test_demo_json_bundle(tmp_path):
     res = run_cli(["demo-fig2", "--grid-n", "1024", "--format", "json",
                    "--plot", "none", "--output-dir", str(tmp_path)],
