@@ -127,10 +127,15 @@ class SpectralField:
 
 
 def magnitude(field: SpectralField) -> np.ndarray:
-    """Pointwise Euclidean magnitude over components, a real array."""
+    """Pointwise Euclidean magnitude over components, a real array.  The
+    component moduli are squared in place, so a 3d field costs one real
+    array of its shape and the scalar sum."""
     if field.grid.dim == 1:
         return np.abs(field.data)
-    return np.sqrt(np.sum(np.abs(field.data) ** 2, axis=0))
+    squares = np.abs(field.data)
+    np.square(squares, out=squares)
+    total = np.sum(squares, axis=0)
+    return np.sqrt(total, out=total)
 
 
 def peak_magnitude(field: SpectralField) -> float:

@@ -260,13 +260,24 @@ class HelicityScanReport:
 
 
 def _window_maxima(mag: np.ndarray, w: int) -> np.ndarray:
-    view = np.lib.stride_tricks.sliding_window_view(mag, (w,) * mag.ndim)
-    stride = max(1, w // 2)
-    starts = np.arange(0, mag.shape[0] - w + 1, stride)
-    if starts[-1] != mag.shape[0] - w:
-        starts = np.append(starts, mag.shape[0] - w)
-    reduced = view[np.ix_(*(starts,) * mag.ndim)]
-    return reduced.max(axis=tuple(range(-mag.ndim, 0)))
+    """The maximum of mag over each window of w samples per axis, for window
+    starts w // 2 (at least 1) apart with the last start at n - w.  The
+    maximum over a box is the maximum along each axis in turn, so a running
+    np.maximum over one axis after another gives the exact array, holding
+    one window start per output row instead of every window's samples."""
+    n = mag.shape[0]
+    starts = np.arange(0, n - w + 1, max(1, w // 2))
+    if starts[-1] != n - w:
+        starts = np.append(starts, n - w)
+    maxima = mag
+    for axis in range(mag.ndim):
+        running = np.take(maxima, starts, axis=axis)
+        shifted = np.empty_like(running)
+        for offset in range(1, w):
+            np.maximum(running, np.take(maxima, starts + offset, axis=axis, out=shifted),
+                       out=running)
+        maxima = running
+    return maxima
 
 
 def helicity_vanishing_scan(field: SpectralField, window_size: float,

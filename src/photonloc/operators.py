@@ -107,14 +107,17 @@ def curl(field: SpectralField) -> SpectralField:
 
 
 def _i_cross(a, v: np.ndarray) -> np.ndarray:
-    """i a x v, for a real multiplier triple a and complex components v: the
-    cross product in one fresh array, multiplied by i in place."""
+    """i a x v, for a real multiplier triple a and complex components v: each
+    component of the cross product is formed in its slice of one fresh array
+    with one scalar temporary, and the whole is multiplied by i in place."""
     ax, ay, az = a
     vx, vy, vz = v
     out = np.empty_like(v)
-    out[0] = ay * vz - az * vy
-    out[1] = az * vx - ax * vz
-    out[2] = ax * vy - ay * vx
+    tmp = np.empty_like(vx)
+    for o, p, q, r, t in ((out[0], ay, vz, az, vy), (out[1], az, vx, ax, vz),
+                          (out[2], ax, vy, ay, vx)):
+        np.multiply(p, q, out=o)
+        o -= np.multiply(r, t, out=tmp)
     out *= 1j
     return out
 
@@ -168,15 +171,17 @@ def helicity_apply(field: SpectralField) -> SpectralField:
 
 def _helicity_parts(field: SpectralField, signs) -> tuple:
     """(1 + sign*L)/2 applied to the field for each sign, from one L.v: the
-    sum or difference of v and L.v in one fresh array, halved in place.  L**2 = 1
-    on a transverse field with a zero mode exactly 0, whose parts claim their sign."""
+    sum or difference of v and L.v, halved in place, in one fresh array for
+    every sign but the last, which is written over L.v.  L**2 = 1 on a
+    transverse field with a zero mode exactly 0, whose parts claim their sign."""
     f = to_frequency(field)
     lam = helicity_apply(f)
     transverse = lam.transverse or field.transverse
     claim = transverse and not f.data[f.grid.zero_mode_index()].any()
     parts = []
-    for sign in signs:
-        part = (np.add if sign > 0 else np.subtract)(f.data, lam.data)
+    for i, sign in enumerate(signs):
+        out = lam.data if i == len(signs) - 1 else None
+        part = (np.add if sign > 0 else np.subtract)(f.data, lam.data, out=out)
         part *= 0.5
         parts.append(_same_domain(field, part, transverse))
         parts[-1].helicity = sign if claim else 0
@@ -202,7 +207,8 @@ def helicity_parts(field: SpectralField) -> tuple:
     """Both helicity parts (P(+) v, P(-) v), in the input's domain.
 
     They equal two helicity_project calls exactly, claims included, at the
-    cost of one forward transform and one application of L.  As there, a
+    cost of one forward transform and one application of L; the minus part
+    reuses L.v's buffer, so the pair costs two field-sized arrays.  As there, a
     position-domain field claims its helicity only after strip_zero_mode:
     its transformed zero mode sits at rounding level, so without it both
     parts claim 0.

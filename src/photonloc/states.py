@@ -175,15 +175,21 @@ def lp_from_potentials(em: EMFields, units: UnitsConfig = NATURAL,
 
 def _bb_field(psi_hat: SpectralField, units: UnitsConfig, domain: str) -> SpectralField:
     """F = i sqrt(hbar) W**(1/2) psi from psi's frequency image, returned in
-    ``domain``; the factor i sqrt(hbar) is applied last, in that domain."""
+    ``domain``; the factor i sqrt(hbar) is applied last, in place, in that
+    domain, after the frequency-domain W**(1/2) psi is dropped."""
     half = apply_frequency_power(psi_hat, 0.5, units)
-    return 1j * np.sqrt(units.hbar) * (half if domain == FREQUENCY else to_position(half))
+    if domain != FREQUENCY:
+        half = to_position(half)
+    half.data *= 1j * np.sqrt(units.hbar)
+    return half
 
 
 def _lp_field(f: SpectralField, units: UnitsConfig, zero_mode: str) -> SpectralField:
-    """psi = -i hbar**(-1/2) W**(-1/2) F, in F's domain."""
-    return (-1j / np.sqrt(units.hbar)) * apply_frequency_power(
-        f, -0.5, units, zero_mode=zero_mode)
+    """psi = -i hbar**(-1/2) W**(-1/2) F, in F's domain; the factor is
+    applied in place."""
+    psi = apply_frequency_power(f, -0.5, units, zero_mode=zero_mode)
+    psi.data *= -1j / np.sqrt(units.hbar)
+    return psi
 
 
 def bb_from_lp(state: LPState) -> BBState:

@@ -62,6 +62,42 @@ def test_a_scalar_row_is_unchanged():
     assert not checks._below("r", np.nan, 1.0).ok
 
 
+def _rel_pairs():
+    """(a, b) pairs of one shape: 1d and 3d, real and complex, one block
+    and several, the last block short."""
+    rng = np.random.default_rng(5)
+    for shape in [(64,), (3, 32, 32, 32), (checks.REDUCE_BLOCK * 2 + 7,)]:
+        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        yield b + 1e-9 * rng.standard_normal(shape), b
+    yield rng.standard_normal(100_000), rng.standard_normal(100_000)
+
+
+@pytest.mark.parametrize("a, b", list(_rel_pairs()))
+def test_the_blocked_reductions_return_the_whole_array_floats(a, b):
+    peak = float(np.max(np.abs(b)))
+    assert checks._peak(b) == peak
+    assert checks._rel(a, b) == float(np.max(np.abs(a - b))) / peak
+    assert checks._rel(a, b, peak=2.0) == float(np.max(np.abs(a - b))) / 2.0
+
+
+def test_the_blocked_reductions_read_fields(rng):
+    a, b = (random_band_limited(GRID3, rng, transverse=True) for _ in range(2))
+    assert checks._peak(b) == float(np.max(np.abs(b.data)))
+    assert checks._rel(a, b) == float(np.max(np.abs(a.data - b.data))) / checks._peak(b)
+
+
+@pytest.mark.parametrize("where", [0, checks.REDUCE_BLOCK + 3, -1],
+                         ids=["first-block", "middle-block", "last-sample"])
+def test_a_nan_anywhere_makes_the_blocked_reductions_nan(where):
+    b = np.ones(3 * checks.REDUCE_BLOCK, dtype=complex)
+    a = b.copy()
+    a[where] = np.nan
+    assert np.isnan(checks._rel(a, b))
+    assert np.isnan(checks._rel(b, a))
+    assert np.isnan(checks._peak(a))
+    assert not checks._below("r", [checks._rel(a, b)], 1.0).ok
+
+
 def test_band_limit_below_nyquist(grid1):
     kmax = float(np.max(np.abs(grid1.k_axis)))
     assert 0.0 < band_limit(grid1) < kmax

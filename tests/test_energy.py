@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from photonloc import (BBState, DetectorVolume, EnergyDensityMap, Grid,
+import tracemalloc
+
+from photonloc import (FREQUENCY, BBState, DetectorVolume, EnergyDensityMap, Grid,
                        LPState, SpectralField, apply_frequency_power,
-                       detector_energy, energy_density, helicity_parts,
+                       detector_energy, energy_density, helicity_apply, helicity_parts,
                        knight_locality_test, magnitude, make_bb_compact,
-                       make_lp_compact, plane_wave, to_frequency, to_position,
-                       total_energy, volume_weights)
+                       make_lp_compact, plane_wave, strip_zero_mode, to_frequency,
+                       to_position, total_energy, volume_weights)
 from photonloc.errors import VolumeOutOfDomainError
 from photonloc.units import UnitsConfig
 
@@ -64,6 +66,88 @@ def test_values_keep_the_bits_of_the_position_round_trip(state):
     plus, minus = (magnitude(to_position(p)) for p in helicity_parts(f_full))
     expected = plus ** 2 + minus ** 2
     assert energy_density(state).values.tobytes() == expected.tobytes()
+
+
+def _mean_carrying_bb_3d():
+    """The 16^3 BB state with a constant vector added at the zero mode."""
+    f = to_frequency(_state_3d("bb").field).copy()
+    f.data[f.grid.zero_mode_index()] = (0.3 - 0.1j, -0.2j, 0.25)
+    return BBState(to_position(f))
+
+
+def _whole_field_formula(state):
+    """energy_density's values and two-path discrepancy as computed before
+    its kernels worked in place: every step a fresh array, both helicity
+    parts held at once, the magnitude from the whole |v|**2 array."""
+    u = state.units
+
+    def parts(field):
+        lam = helicity_apply(field)
+        return [SpectralField(field.grid, op(field.data, lam.data) * 0.5, FREQUENCY)
+                for op in (np.add, np.subtract)]
+
+    def quadrance(pair):
+        plus, minus = (np.abs(d) if d.ndim == 1 else np.sqrt(np.sum(np.abs(d) ** 2, axis=0))
+                       for d in (to_position(p).data for p in pair))
+        return plus ** 2 + minus ** 2
+
+    own = to_frequency(state.field)
+    if state.representation == "lp":
+        half = apply_frequency_power(own, 0.5, u)
+        f_full = 1j * np.sqrt(u.hbar) * (to_position(half) if state.field.is_position else half)
+        psi_hat, f_hat = own, to_frequency(f_full)
+    else:
+        psi_hat = (-1j / np.sqrt(u.hbar)) * apply_frequency_power(own, -0.5, u, zero_mode="drop")
+        f_hat = own
+    f_parts = parts(f_hat)
+    values = quadrance(f_parts)
+    ref = values if state.representation == "lp" else quadrance(
+        strip_zero_mode(p) for p in f_parts)
+    lp_vals = u.hbar * quadrance(apply_frequency_power(p, 0.5, u) for p in parts(psi_hat))
+    scale = float(np.max(ref))
+    disc = 0.0 if scale == 0.0 else float(np.max(np.abs(lp_vals - ref))) / scale
+    return values, disc
+
+
+def _states_for_bit_identity():
+    yield from _states_in_both_domains()
+    state = _mean_carrying_bb_3d()
+    yield pytest.param(state, id="bb-3d-mean-position")
+    yield pytest.param(BBState(to_frequency(state.field)), id="bb-3d-mean-frequency")
+
+
+@pytest.mark.parametrize("state", list(_states_for_bit_identity()))
+def test_energy_density_keeps_the_bits_of_the_whole_field_formula(state):
+    values, disc = _whole_field_formula(state)
+    emap = energy_density(state)
+    assert emap.values.tobytes() == values.tobytes()
+    assert emap.two_path_discrepancy == disc
+
+
+def test_the_mean_carrying_3d_state_takes_the_stripped_reference():
+    # Its unstripped parts would be compared with an LP image that has no
+    # mean: the discrepancy is rounding-level only through strip_zero_mode.
+    state = _mean_carrying_bb_3d()
+    assert np.abs(to_frequency(state.field).data[:, 0, 0, 0]).min() > 0.1
+    assert energy_density(state).two_path_discrepancy < 1e-12
+
+
+def _traced_peak(call) -> int:
+    """Bytes that call() allocates at its peak, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("representation", ["lp", "bb"])
+def test_energy_density_at_64_cubed_peaks_below_4_7_fields(representation):
+    state = _state_3d(representation, n=64)
+    energy_density(state)  # fills the grid's k-space caches, which outlive the call
+    peak = _traced_peak(lambda: energy_density(state))
+    assert peak <= 4.7 * state.field.data.nbytes
 
 
 @pytest.mark.parametrize("representation", ["lp", "bb"])

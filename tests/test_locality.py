@@ -19,6 +19,7 @@ from photonloc.errors import (InsufficientWindowError, NotEigenfieldError,
 from photonloc.fields import require_transverse
 from photonloc.locality import SUPPORT_THRESHOLD, TailFit
 
+from test_energy import _traced_peak  # noqa: E402
 from test_golden import _state_3d  # noqa: E402
 
 
@@ -356,6 +357,49 @@ def test_scan_of_a_frequency_domain_part_makes_one_inverse_transform(
         transform_counts.update(forward=0, inverse=0)
         helicity_vanishing_scan(part, 5.0 * grid3.spacing, reference_peak=peak)
         assert transform_counts == {"forward": 0, "inverse": 1}
+
+
+def _every_window_maxima(mag, w):
+    """The window maxima as they were computed before the separable scan:
+    every window's samples gathered at once, then reduced."""
+    view = np.lib.stride_tricks.sliding_window_view(mag, (w,) * mag.ndim)
+    starts = np.arange(0, mag.shape[0] - w + 1, max(1, w // 2))
+    if starts[-1] != mag.shape[0] - w:
+        starts = np.append(starts, mag.shape[0] - w)
+    reduced = view[np.ix_(*(starts,) * mag.ndim)]
+    return reduced.max(axis=tuple(range(-mag.ndim, 0)))
+
+
+# (n, w): w = 4 and w = n; even and odd w, with the last start on the
+# stride (16, 4), (16, 7) or appended off it (16, 5), (16, 6), (15, 4).
+WINDOW_CASES = [(16, 4), (16, 5), (16, 6), (16, 7), (15, 4), (16, 16)]
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("n, w", WINDOW_CASES)
+def test_window_maxima_equal_the_every_window_reduction(dim, n, w, rng):
+    mag = rng.random((n,) * dim)
+    assert np.array_equal(locality._window_maxima(mag, w), _every_window_maxima(mag, w))
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_a_nan_sample_reaches_every_window_maximum_that_holds_it(dim, rng):
+    mag = rng.random((16,) * dim)
+    mag[(5,) * dim] = np.nan
+    assert np.array_equal(locality._window_maxima(mag, 5), _every_window_maxima(mag, 5),
+                          equal_nan=True)
+
+
+def test_the_scan_of_a_64_cubed_part_peaks_below_two_fields():
+    # As the field3d benchmark scans: a claimed frequency-domain part of the
+    # zero-mean field, against the whole field's peak.
+    field = _state_3d("bb", n=64).field
+    part = helicity_project(strip_zero_mode(field), 1)
+    peak = peak_magnitude(field)
+    window = 5.0 * field.grid.spacing
+    helicity_vanishing_scan(part, window, reference_peak=peak)  # fills the grid's caches
+    used = _traced_peak(lambda: helicity_vanishing_scan(part, window, reference_peak=peak))
+    assert used <= 2.0 * field.data.nbytes
 
 
 # The helicity claim: parts built by the projection are trusted, any other
