@@ -261,22 +261,24 @@ class HelicityScanReport:
 
 def _window_maxima(mag: np.ndarray, w: int) -> np.ndarray:
     """The maximum of mag over each window of w samples per axis, for window
-    starts w // 2 (at least 1) apart with the last start at n - w.  The
-    maximum over a box is the maximum along each axis in turn, so a running
-    np.maximum over one axis after another gives the exact array, holding
-    one window start per output row instead of every window's samples."""
+    starts w // 2 (at least 1) apart with the last start at n - w.
+
+    The maximum over a box is the maximum along each axis in turn.  Along
+    one axis, maxima over 2, 4, ... samples come from pairs of maxima over
+    half as many, and a window of w is covered by two overlapping runs of
+    the largest such width.  Max is exact, so the array is the one a
+    reduction over every window's samples gives, without gathering them."""
     n = mag.shape[0]
     starts = np.arange(0, n - w + 1, max(1, w // 2))
     if starts[-1] != n - w:
         starts = np.append(starts, n - w)
     maxima = mag
     for axis in range(mag.ndim):
-        running = np.take(maxima, starts, axis=axis)
-        shifted = np.empty_like(running)
-        for offset in range(1, w):
-            np.maximum(running, np.take(maxima, starts + offset, axis=axis, out=shifted),
-                       out=running)
-        maxima = running
+        run, width = np.moveaxis(maxima, axis, 0), 1
+        while 2 * width <= w:
+            run = np.maximum(run[:-width], run[width:])
+            width *= 2
+        maxima = np.moveaxis(np.maximum(run[starts], run[starts + (w - width)]), 0, axis)
     return maxima
 
 
