@@ -110,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     loc.add_argument("--domain-length", type=float, default=16.0,
                      help="box length for the built-in state (default 16)")
     loc.add_argument("--pulse-length", type=float, default=1.0,
-                     help="pulse length for the built-in state (default 1)")
+                     help="pulse length of the built-in state and, on any 1d "
+                          "input, of the vector_potential profile (default 1)")
     loc.add_argument("--floor", type=float, default=None,
                      help="energy floor for the Knight test "
                           "(default 1e-12 of the peak)")
@@ -207,10 +208,10 @@ def cmd_demo_fig2(args) -> int:
             shutil.copyfile(path, os.path.join(out, f"panel_{chr(ord(label) + 3)}.csv"))
     else:
         bundle = {
-            "grid": {"dim": 1, "length": grid.length, "n": grid.n},
+            "grid": grid,
             "units": units,
             "pulse_length": figset.pulse_length,
-            "panels": {label: figset.panels[label] for label in "abcdef"},
+            "panels": figset.panels,
         }
         write_json(os.path.join(out, "fig2_bundle.json"), bundle)
 
@@ -342,7 +343,7 @@ def cmd_locality(args) -> int:
     bundle = {
         "state": {"origin": origin,
                   "representation": state.representation,
-                  "grid": {"dim": grid.dim, "length": grid.length, "n": grid.n}},
+                  "grid": grid},
         "energy": {"total": total_energy(emap),
                    "min_density": float(np.min(emap.values)),
                    "two_path_discrepancy": emap.two_path_discrepancy},

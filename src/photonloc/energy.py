@@ -28,9 +28,8 @@ image's two helicity parts (the second over the buffer of L applied to the
 image) and drops the image; each part is then taken off a list, freed after
 its inverse transform and magnitude, before the next is transformed.  A
 128**3 call therefore holds at its peak 4.17 (LP state) or 4.34 (BB state)
-times one field's bytes besides its input, against 6.00 and 6.17 when every
-step made a fresh array and both parts of an image lived at once
-(tracemalloc; tests/test_energy.py bounds it by 4.7 at 64**3).
+times one field's bytes besides its input (tracemalloc; tests/test_energy.py
+bounds it by 4.7 at 64**3).
 """
 
 from __future__ import annotations

@@ -72,12 +72,13 @@ class SupportEstimate:
 
 def support_estimate(obj, threshold: float) -> SupportEstimate:
     """Support of a field or energy map at ``threshold`` of its peak; a
-    threshold outside [0, 1) or a peak that is not finite raises ValueError."""
+    threshold outside [0, 1) or a peak that is negative or not finite
+    raises ValueError."""
     if not (0.0 <= threshold < 1.0):
         raise ValueError(f"threshold must lie in [0, 1), got {threshold!r}")
     grid, vals = _samples_of(obj)
     peak = float(np.max(vals))
-    if not np.isfinite(peak):
+    if not (0.0 <= peak < np.inf):
         raise ValueError(f"support of samples whose peak is {peak}")
     if peak == 0.0:
         raise ZeroStateError("support of an identically vanishing field is empty")
@@ -85,7 +86,7 @@ def support_estimate(obj, threshold: float) -> SupportEstimate:
     radii = []
     for ax in range(grid.dim):
         collapsed = above.any(axis=tuple(a for a in range(grid.dim) if a != ax))
-        radii.append(float(np.max(np.abs(grid.axis[collapsed]))) if collapsed.any() else 0.0)
+        radii.append(float(np.max(np.abs(grid.axis[collapsed]))))
     radii = tuple(radii)
     region = tuple((-r, r) for r in radii)
 
@@ -312,6 +313,7 @@ def helicity_vanishing_scan(field: SpectralField, window_size: float,
     if w > g.n:
         raise InsufficientWindowError("window exceeds the domain")
 
+    # Apply L, not helicity_parts, so a projector defect cannot vouch for its own parts.
     eigenvalue = field.helicity
     if not eigenvalue:
         f = to_frequency(field)
@@ -376,11 +378,7 @@ def vector_potential_localized_state(xi: SpectralField, region: DetectorVolume,
 
     recovered = to_position(apply_frequency_power(state.psi, -0.5, units))
     xi_unit = pos / l2_norm(pos)
-    rec_norm = l2_norm(recovered)
-    if rec_norm == 0.0:
-        deviation = 1.0
-    else:
-        rec_unit = recovered / rec_norm
-        num = float(np.max(np.abs(rec_unit.data - xi_unit.data)))
-        deviation = num / float(np.max(np.abs(xi_unit.data)))
+    rec_unit = recovered / l2_norm(recovered)
+    num = float(np.max(np.abs(rec_unit.data - xi_unit.data)))
+    deviation = num / float(np.max(np.abs(xi_unit.data)))
     return LocalizedStateConstruction(state, est, deviation)

@@ -114,9 +114,8 @@ def save_state(state, path):
     payload = {
         "schema": STATE_SCHEMA,
         "representation": state.representation,
-        "units": {"hbar": state.units.hbar, "c": state.units.c,
-                  "eps0": state.units.eps0},
-        "grid": {"dim": g.dim, "length": g.length, "n": g.n},
+        "units": jsonable(state.units),
+        "grid": jsonable(g),
         "components": components,
     }
     with open(path, "w", encoding="utf-8") as fh:

@@ -149,13 +149,10 @@ class BBState(PhotonState):
         return self.field
 
     def _norm(self) -> float:
-        return float(np.sqrt(max(_bb_norm_squared(self.field, self.units), 0.0)))
-
-
-def _bb_norm_squared(f: SpectralField, units: UnitsConfig) -> float:
-    ff = to_frequency(f)
-    weight = omega_power(ff.grid, -1.0, units)
-    return float(ff.grid.k_cell_volume * np.sum(np.abs(ff.data) ** 2 * weight))
+        ff = to_frequency(self.field)
+        weight = omega_power(ff.grid, -1.0, self.units)
+        norm_sq = float(ff.grid.k_cell_volume * np.sum(np.abs(ff.data) ** 2 * weight))
+        return float(np.sqrt(max(norm_sq, 0.0)))
 
 
 def lp_from_potentials(em: EMFields, units: UnitsConfig = NATURAL,

@@ -206,6 +206,27 @@ def test_locality_saved_state_and_options(demo_dir, tmp_path):
     assert report["tail_fit"] is not None
 
 
+def test_locality_pulse_length_sets_the_vector_potential_profile_of_a_state_file(
+        demo_dir, tmp_path):
+    """On a state file --pulse-length changes only the vector_potential
+    block: its odd profile, and so its support, has half the length."""
+    out, _ = demo_dir
+    reports = []
+    for length in ("1", "0.5"):
+        res = run_cli(["locality", str(out / "states" / "state_c.json"),
+                       "--pulse-length", length, "--output-dir", str(tmp_path)],
+                      cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        reports.append(json.loads((tmp_path / "locality_report.json").read_text()))
+    default, half = reports
+    spacing = 16.0 / 1024
+    for report, radius in ((default, 0.5), (half, 0.25)):
+        (lo, hi), = report["vector_potential"]["support"]["region"]
+        assert lo == -hi and abs(hi - radius) <= 2.0 * spacing
+    for block in ("state", "energy", "knight", "tail_fit", "helicity_scans"):
+        assert half[block] == default[block]
+
+
 def test_locality_on_a_state_file_uses_the_units_saved_in_it(tmp_path):
     """The unit flags set only the built-in state's units: a c = 2 state
     file gets the library's c = 2 witness, whatever --c says."""

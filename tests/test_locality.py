@@ -73,6 +73,14 @@ def test_support_guards(grid1_small):
         support_estimate(np.ones(grid1_small.n), SUPPORT_THRESHOLD)
 
 
+def test_support_rejects_a_map_whose_peak_is_negative(grid1_small):
+    """A peak below zero would leave no sample above threshold * peak, so no
+    radius; it is rejected with the non-finite peaks."""
+    emap = EnergyDensityMap(grid1_small, -np.ones(grid1_small.n), 0.0)
+    with pytest.raises(ValueError, match="peak is -1.0"):
+        support_estimate(emap, SUPPORT_THRESHOLD)
+
+
 @pytest.mark.parametrize("threshold", [np.nan, -1.0, 1.0, 2.0, np.inf])
 def test_support_rejects_a_threshold_outside_zero_to_one(grid1_small, threshold):
     with pytest.raises(ValueError, match="threshold"):
@@ -527,3 +535,13 @@ def test_vector_potential_guards(grid1):
         vector_potential_localized_state(cplx, DetectorVolume.interval(-0.6, 0.6))
     with pytest.raises(VolumeOutOfDomainError):
         vector_potential_localized_state(xi, DetectorVolume.interval(-9.0, 9.0))
+
+
+def test_vector_potential_of_a_constant_profile_cannot_be_normalized(grid1):
+    """W**(1/2) annihilates a constant, so a constant profile over the whole
+    box passes the support check and normalize rejects its vanishing image:
+    the recovery never sees a zero state."""
+    half = 0.5 * grid1.length
+    with pytest.raises(ZeroStateError, match="cannot normalize"):
+        vector_potential_localized_state(SpectralField(grid1, np.ones(grid1.n)),
+                                         DetectorVolume.interval(-half, half))

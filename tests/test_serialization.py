@@ -12,6 +12,7 @@ from photonloc.errors import SchemaError
 from photonloc.serialization import jsonable
 from photonloc.units import UnitsConfig
 
+from test_golden import _state_3d  # noqa: E402
 from test_states import _random_em
 
 
@@ -49,6 +50,46 @@ def test_3d_state_round_trip(tmp_path, grid3, rng):
     back = load_state(path)
     assert back.grid == grid3
     assert np.array_equal(back.psi.data, to_position(state.psi).data)
+
+
+def test_grid_and_units_json_hold_exactly_the_keys_load_state_reads():
+    assert jsonable(Grid(3, 16.0, 16)) == {"dim": 3, "length": 16.0, "n": 16}
+    assert jsonable(UnitsConfig(0.5, 2.0, 3.0)) == {"hbar": 0.5, "c": 2.0, "eps0": 3.0}
+
+
+def _hand_written_state_file(state, path):
+    """save_state as it was before the grid and units blocks came from
+    jsonable: the reference for its bytes."""
+    field = to_position(state.field)
+    g = field.grid
+    data = [field.data] if g.dim == 1 else list(field.data)
+    payload = {
+        "schema": "photonloc-state-v1",
+        "representation": state.representation,
+        "units": {"hbar": state.units.hbar, "c": state.units.c,
+                  "eps0": state.units.eps0},
+        "grid": {"dim": g.dim, "length": g.length, "n": g.n},
+        "components": [{"re": c.ravel().real.tolist(), "im": c.ravel().imag.tolist()}
+                       for c in data],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True)
+        fh.write("\n")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_lp_compact(Grid(1, 16.0, 1024), 1.0, UnitsConfig(hbar=0.5)),
+    lambda: _state_3d("lp"),
+    lambda: _state_3d("bb"),
+    lambda: make_bb_compact(Grid(1, 16, 256), 1.0),
+], ids=["1d-lp", "3d-lp", "3d-bb", "1d-bb-integer-length"])
+def test_save_state_writes_the_bytes_of_the_hand_written_schema(tmp_path, make):
+    state = make()
+    save_state(state, tmp_path / "state.json")
+    _hand_written_state_file(state, tmp_path / "reference.json")
+    written = (tmp_path / "state.json").read_bytes()
+    assert written == (tmp_path / "reference.json").read_bytes()
+    assert f'"length": {state.grid.length!r}, '.encode() in written
 
 
 def test_save_state_rejects_other_types(tmp_path):
