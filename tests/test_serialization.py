@@ -12,7 +12,7 @@ from photonloc.errors import SchemaError
 from photonloc.serialization import jsonable
 from photonloc.units import UnitsConfig
 
-from test_golden import _state_3d  # noqa: E402
+from test_golden import _state_3d
 from test_states import _random_em
 
 
@@ -58,8 +58,8 @@ def test_grid_and_units_json_hold_exactly_the_keys_load_state_reads():
 
 
 def _hand_written_state_file(state, path):
-    """save_state as it was before the grid and units blocks came from
-    jsonable: the reference for its bytes."""
+    """A state file with its grid and units blocks spelled out by hand: the
+    reference for save_state's bytes."""
     field = to_position(state.field)
     g = field.grid
     data = [field.data] if g.dim == 1 else list(field.data)
