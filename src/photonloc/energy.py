@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProbeCellError, VolumeOutOfDomainError
-from .fields import magnitude, strip_zero_mode, to_frequency, to_position
+from .fields import _by_planes, magnitude, strip_zero_mode, to_frequency, to_position
 from .grid import Grid
 from .operators import apply_frequency_power, helicity_parts
 from .states import PhotonState, _bb_field, _lp_field
@@ -66,7 +66,7 @@ def _quadrance(parts: list, through=None) -> np.ndarray:
     parts on the list ``parts``, each first passed ``through`` a map if one
     is given.  Each part is taken off the list and freed after its inverse
     transform and magnitude."""
-    squares = []
+    grid, squares = parts[0].grid, []
     while parts:
         part = parts.pop(0)
         if through is not None:
@@ -75,7 +75,10 @@ def _quadrance(parts: list, through=None) -> np.ndarray:
         squares.append(magnitude(part))
         del part
     plus, minus = squares
-    return plus ** 2 + minus ** 2
+    total, tmp = np.empty_like(plus), np.empty_like(minus)
+    _by_planes(grid, lambda part: np.add(np.square(part(plus), out=part(total)),
+                                         np.square(part(minus), out=part(tmp)), out=part(total)))
+    return total
 
 
 def energy_density(state) -> EnergyDensityMap:
@@ -207,15 +210,20 @@ def volume_weights(volume: DetectorVolume, grid: Grid) -> np.ndarray:
     if volume.kind == "ball":
         dist = np.sqrt(sum((x - c) ** 2 for x, c in zip(mesh, volume.center)))
         return np.clip((volume.radius - dist) / dx + 0.5, 0.0, 1.0)
-    return math.prod(np.clip((np.minimum(h, x + 0.5 * dx)
-                              - np.maximum(l, x - 0.5 * dx)) / dx, 0.0, 1.0)
-                     for x, l, h in zip(mesh, volume.lo, volume.hi))
+    *first, last = (np.clip((np.minimum(h, x + 0.5 * dx) - np.maximum(l, x - 0.5 * dx)) / dx,
+                            0.0, 1.0) for x, l, h in zip(mesh, volume.lo, volume.hi))
+    if not first:
+        return last
+    head, w = math.prod(first), np.empty(grid.spatial_shape)
+    _by_planes(grid, lambda part: np.multiply(part(head), part(last), out=part(w)))
+    return w
 
 
 def detector_energy(emap: EnergyDensityMap, volume: DetectorVolume) -> float:
     """Energy captured by a detector occupying the volume."""
     w = volume_weights(volume, emap.grid)
-    return float(emap.grid.cell_volume * np.sum(w * emap.values))
+    _by_planes(emap.grid, lambda part: np.multiply(part(w), part(emap.values), out=part(w)))
+    return float(emap.grid.cell_volume * np.sum(w))
 
 
 @dataclass(eq=False)

@@ -21,17 +21,24 @@ Each transform allocates one complex array of the field's shape, never
 writes its input, and applies its phase and scale factors in place (the
 forward weight, scale times phase, is one real temporary).
 
-A 3d transform runs as two axis passes: pass A, a 2d FFT over the last two
-axes of every (component, x) plane, split at x = n/2, and pass B, a 1d FFT
-along x of every line, split at y = n/2.  One helper thread, started and
-joined inside the pass, runs the first half while the caller runs the
-second.  The inverse applies its phase inside the pass-A halves and its
+Field-sized 3d work runs in two halves of independent lines: one helper
+thread, started and joined inside the call, runs the first half while the
+caller runs the second (_on_both_cores).  A 3d transform runs as two axis
+passes: pass A, a 2d FFT over the last two axes of every (component, x)
+plane, split at x = n/2, and pass B, a 1d FFT along x of every line, split
+at y = n/2.  The inverse applies its phase inside the pass-A halves and its
 scale inside the pass-B halves; the forward applies scale times phase inside
 its pass-B halves.  Every line meets the same 1d kernel and the same
 elementwise products as one ``fftn`` over all three axes, which also runs
-the last axis first, so the output is the same to the bit.  With one usable
-CPU, or n below _SPLIT_MIN_N, the caller runs each pass whole, as it does
-every 1d transform.  The helper runs numpy calls only.
+the last axis first, so the output is the same to the bit.  The elementwise
+kernels between transforms split at x = n/2 (_by_planes): each element
+meets the ufunc loop it meets in the whole array, and a sum whose float
+depends on its order stays whole on the caller.  A half writes only into
+arrays the caller allocated, in the order whole-array code allocates them:
+a temporary made on the helper thread lands elsewhere in glibc's heap and
+raises peak RSS.  With one usable CPU, or n below _SPLIT_MIN_N, the caller
+runs the halves as one, as it does all 1d work.  The helper runs numpy
+calls only.
 """
 
 from __future__ import annotations
@@ -132,10 +139,14 @@ def magnitude(field: SpectralField) -> np.ndarray:
     array of its shape and the scalar sum."""
     if field.grid.dim == 1:
         return np.abs(field.data)
-    squares = np.abs(field.data)
-    np.square(squares, out=squares)
-    total = np.sum(squares, axis=0)
-    return np.sqrt(total, out=total)
+    squares, total = np.empty(field.data.shape), np.empty(field.grid.spatial_shape)
+
+    def kernel(part):
+        np.square(np.abs(part(field.data), out=part(squares)), out=part(squares))
+        np.sqrt(np.sum(part(squares), axis=0, out=part(total)), out=part(total))
+
+    _by_planes(field.grid, kernel)
+    return total
 
 
 def peak_magnitude(field: SpectralField) -> float:
@@ -152,7 +163,8 @@ def zero_mode_amplitude(field: SpectralField) -> float:
 def strip_zero_mode(field: SpectralField) -> SpectralField:
     """The field with its spatial mean removed (returned in frequency domain)."""
     f = to_frequency(field)
-    data = f.data.copy()
+    data = np.empty(f.data.shape, np.complex128)
+    _by_planes(f.grid, lambda part: np.copyto(part(data), part(f.data)))
     data[f.grid.zero_mode_index()] = 0.0
     return _trusted(f.grid, data, FREQUENCY, f.transverse)
 
@@ -170,13 +182,28 @@ def transversality_residual(field: SpectralField) -> float:
     if field.grid.dim != 3:
         raise DimensionError("transversality is defined for three-dimensional fields")
     f = to_frequency(field)
-    kx, ky, kz = f.grid.k_vectors
-    vx, vy, vz = f.data
-    div = np.abs(kx * vx + ky * vy + kz * vz)
+    dot = _dot(f.grid, f.grid.k_vectors, f.data)
+    div = np.empty(dot.shape)
+    _by_planes(f.grid, lambda part: np.abs(part(dot), out=part(div)))
+    del dot
     scale = float(np.max(f.grid.k_magnitude * magnitude(f)))
     if scale == 0.0:
         return 0.0
     return float(np.max(div)) / scale
+
+
+def _dot(grid: Grid, a, v: np.ndarray) -> np.ndarray:
+    """(a0 v0 + a1 v1) + a2 v2 for a real multiplier triple a and complex
+    field data v, summed in one fresh array with one scalar temporary."""
+    dot, tmp = (np.empty(grid.spatial_shape, np.complex128) for _ in range(2))
+
+    def kernel(part):
+        np.multiply(part(a[0]), part(v[0]), out=part(dot))
+        for ai, vi in zip(a[1:], v[1:]):
+            np.add(part(dot), np.multiply(part(ai), part(vi), out=part(tmp)), out=part(dot))
+
+    _by_planes(grid, kernel)
+    return dot
 
 
 def require_transverse(field: SpectralField, message: str):
@@ -218,7 +245,7 @@ def _on_both_cores(half, count: int):
         except BaseException as exc:      # raised again on the caller
             failed.append(exc)
 
-    helper = threading.Thread(target=first, name="photonloc-fft")
+    helper = threading.Thread(target=first, name="photonloc-half")
     helper.start()
     try:
         half(count // 2, count)
@@ -226,6 +253,21 @@ def _on_both_cores(half, count: int):
         helper.join()
     if failed:
         raise failed[0]
+
+
+def _by_planes(grid: Grid, kernel):
+    """Run kernel(part), where part(a) is the share of a field-data or
+    spatial array a: on a 3d grid, the x-planes [lo, hi) of each half that
+    _on_both_cores runs (an array of one x-plane broadcasts along x and is
+    passed whole); on a 1d grid, a itself, in one call on the caller."""
+    if grid.dim == 1:
+        kernel(lambda a: a)
+        return
+
+    def half(lo, hi):
+        kernel(lambda a: a[:, lo:hi] if a.ndim == 4 else a if len(a) == 1 else a[lo:hi])
+
+    _on_both_cores(half, grid.n)
 
 
 def forward_transform(field: SpectralField) -> SpectralField:
@@ -241,15 +283,12 @@ def forward_transform(field: SpectralField) -> SpectralField:
         data *= weight
         return _trusted(g, data, FREQUENCY, field.transverse)
 
-    def pass_a(lo, hi):
-        np.fft.fftn(src[:, lo:hi], axes=(-2, -1), out=data[:, lo:hi])
-
     def pass_b(lo, hi):
         lines = data[:, :, lo:hi]
         np.fft.fft(lines, axis=-3, out=lines)
         lines *= weight[:, lo:hi]
 
-    _on_both_cores(pass_a, g.n)
+    _by_planes(g, lambda part: np.fft.fftn(part(src), axes=(-2, -1), out=part(data)))
     _on_both_cores(pass_b, g.n)
     return _trusted(g, data, FREQUENCY, field.transverse)
 
@@ -268,17 +307,16 @@ def inverse_transform(field: SpectralField) -> SpectralField:
     src, data = field.data, np.empty(field.data.shape, np.complex128)
     phase = g.alternating_phase
 
-    def pass_a(lo, hi):
-        planes = data[:, lo:hi]
-        np.multiply(phase[lo:hi], src[:, lo:hi], out=planes)
-        np.fft.ifftn(planes, axes=(-2, -1), out=planes)
+    def pass_a(part):
+        np.multiply(part(phase), part(src), out=part(data))
+        np.fft.ifftn(part(data), axes=(-2, -1), out=part(data))
 
     def pass_b(lo, hi):
         lines = data[:, :, lo:hi]
         np.fft.ifft(lines, axis=-3, out=lines)
         lines *= scale
 
-    _on_both_cores(pass_a, g.n)
+    _by_planes(g, pass_a)
     _on_both_cores(pass_b, g.n)
     return _trusted(g, data, POSITION, field.transverse)
 

@@ -319,8 +319,10 @@ def helicity_vanishing_scan(field: SpectralField, window_size: float,
         f = to_frequency(field)
         lam = helicity_apply(f)
         norm_v = l2_norm(f)
-        for s in (1, -1):
-            if l2_norm(lam - float(s) * f) <= 1e-8 * norm_v:
+        gap = SpectralField(f.grid, np.empty_like(f.data), f.domain)  # Lv - sv, one buffer
+        for s, op in ((1, np.subtract), (-1, np.add)):
+            op(lam.data, f.data, out=gap.data)
+            if l2_norm(gap) <= 1e-8 * norm_v:
                 eigenvalue = s
                 break
     if eigenvalue == 0:

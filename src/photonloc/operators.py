@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ZeroModeError, ZeroWaveVectorError
-from .fields import (FREQUENCY, POSITION, SpectralField, _trusted, require_transverse,
-                     to_frequency, to_position, zero_mode_amplitude)
+from .fields import (FREQUENCY, POSITION, SpectralField, _by_planes, _dot, _trusted,
+                     require_transverse, to_frequency, to_position, zero_mode_amplitude)
 # Re-exported: the residual is measured where a field is built (fields.py).
 from .fields import TRANSVERSE_TOL, transversality_residual  # noqa: F401
 from .grid import Grid, _polarization
@@ -95,7 +95,10 @@ def apply_frequency_power(field: SpectralField, s: float,
                     "field carries a significant zero-frequency component; "
                     "a negative frequency power cannot represent it "
                     "(use zero_mode='drop' to discard it)")
-    return _same_domain(field, f.data * omega_power(f.grid, s, units), field.transverse)
+    mult = omega_power(f.grid, s, units)
+    out = np.empty(f.data.shape, np.complex128)
+    _by_planes(f.grid, lambda part: np.multiply(part(f.data), part(mult), out=part(out)))
+    return _same_domain(field, out, field.transverse)
 
 
 def curl(field: SpectralField) -> SpectralField:
@@ -103,10 +106,10 @@ def curl(field: SpectralField) -> SpectralField:
     if field.grid.dim != 3:
         raise DimensionError("curl requires a three-dimensional vector field")
     f = to_frequency(field)
-    return _same_domain(field, _i_cross(f.grid.k_vectors, f.data), True)
+    return _same_domain(field, _i_cross(f.grid, f.grid.k_vectors, f.data), True)
 
 
-def _i_cross(a, v: np.ndarray) -> np.ndarray:
+def _i_cross(grid: Grid, a, v: np.ndarray) -> np.ndarray:
     """i a x v, for a real multiplier triple a and complex components v: each
     component of the cross product is formed in its slice of one fresh array
     with one scalar temporary, and the whole is multiplied by i in place."""
@@ -114,19 +117,29 @@ def _i_cross(a, v: np.ndarray) -> np.ndarray:
     vx, vy, vz = v
     out = np.empty_like(v)
     tmp = np.empty_like(vx)
-    for o, p, q, r, t in ((out[0], ay, vz, az, vy), (out[1], az, vx, ax, vz),
-                          (out[2], ax, vy, ay, vx)):
-        np.multiply(p, q, out=o)
-        o -= np.multiply(r, t, out=tmp)
-    out *= 1j
+
+    def kernel(part):
+        for o, p, q, r, t in ((out[0], ay, vz, az, vy), (out[1], az, vx, ax, vz),
+                              (out[2], ax, vy, ay, vx)):
+            np.multiply(part(p), part(q), out=part(o))
+            np.subtract(part(o), np.multiply(part(r), part(t), out=part(tmp)), out=part(o))
+        np.multiply(part(out), 1j, out=part(out))
+
+    _by_planes(grid, kernel)
     return out
 
 
 def _unit_k(grid: Grid) -> tuple:
-    kx, ky, kz = grid.k_vectors
     kmag = grid.k_magnitude
     safe = np.where(kmag > 0.0, kmag, 1.0)
-    return kx / safe, ky / safe, kz / safe
+    unit = tuple(np.empty(kmag.shape) for _ in range(3))
+
+    def kernel(part):
+        for k, u in zip(grid.k_vectors, unit):
+            np.divide(part(k), part(safe), out=part(u))
+
+    _by_planes(grid, kernel)
+    return unit
 
 
 def transverse_project(field: SpectralField) -> SpectralField:
@@ -138,13 +151,16 @@ def transverse_project(field: SpectralField) -> SpectralField:
     if field.grid.dim != 3:
         raise DimensionError("transverse projection requires a three-dimensional field")
     f = to_frequency(field)
-    ux, uy, uz = _unit_k(f.grid)
-    vx, vy, vz = f.data
-    longdot = ux * vx + uy * vy + uz * vz
+    u = _unit_k(f.grid)
+    longdot = _dot(f.grid, u, f.data)
     out = np.empty_like(f.data)
-    out[0] = vx - ux * longdot
-    out[1] = vy - uy * longdot
-    out[2] = vz - uz * longdot
+
+    def kernel(part):
+        for ui, vi, oi in zip(u, f.data, out):
+            np.subtract(part(vi), np.multiply(part(ui), part(longdot), out=part(oi)),
+                        out=part(oi))
+
+    _by_planes(f.grid, kernel)
     idx = f.grid.zero_mode_index()
     out[idx] = f.data[idx]
     return _same_domain(field, out, True)
@@ -164,7 +180,7 @@ def helicity_apply(field: SpectralField) -> SpectralField:
         return _same_domain(field, out, field.transverse)
     require_transverse(f, "helicity is defined on divergence-free fields; "
                           "apply transverse_project first")
-    out = _i_cross(_unit_k(g), f.data)
+    out = _i_cross(g, _unit_k(g), f.data)
     out[g.zero_mode_index()] = 0.0
     return _same_domain(field, out, True)
 
@@ -180,10 +196,11 @@ def _helicity_parts(field: SpectralField, signs) -> tuple:
     claim = transverse and not f.data[f.grid.zero_mode_index()].any()
     parts = []
     for i, sign in enumerate(signs):
-        out = lam.data if i == len(signs) - 1 else None
-        part = (np.add if sign > 0 else np.subtract)(f.data, lam.data, out=out)
-        part *= 0.5
-        parts.append(_same_domain(field, part, transverse))
+        out = lam.data if i == len(signs) - 1 else np.empty(f.data.shape, np.complex128)
+        op = np.add if sign > 0 else np.subtract
+        _by_planes(f.grid, lambda part: np.multiply(
+            op(part(f.data), part(lam.data), out=part(out)), 0.5, out=part(out)))
+        parts.append(_same_domain(field, out, transverse))
         parts[-1].helicity = sign if claim else 0
     return tuple(parts)
 

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridMismatchError, ZeroStateError
-from .fields import (FREQUENCY, SpectralField, l2_inner, l2_norm,
+from .fields import (FREQUENCY, SpectralField, _by_planes, l2_inner, l2_norm,
                      require_transverse, to_frequency, to_position)
 from .operators import (_same_domain, apply_frequency_power, curl, helicity_apply,
                         omega, omega_power, zero_mode_guard)
@@ -177,7 +177,8 @@ def _bb_field(psi_hat: SpectralField, units: UnitsConfig, domain: str) -> Spectr
     half = apply_frequency_power(psi_hat, 0.5, units)
     if domain != FREQUENCY:
         half = to_position(half)
-    half.data *= 1j * np.sqrt(units.hbar)
+    c = 1j * np.sqrt(units.hbar)
+    _by_planes(half.grid, lambda part: np.multiply(part(half.data), c, out=part(half.data)))
     return half
 
 
@@ -185,7 +186,8 @@ def _lp_field(f: SpectralField, units: UnitsConfig, zero_mode: str) -> SpectralF
     """psi = -i hbar**(-1/2) W**(-1/2) F, in F's domain; the factor is
     applied in place."""
     psi = apply_frequency_power(f, -0.5, units, zero_mode=zero_mode)
-    psi.data *= -1j / np.sqrt(units.hbar)
+    c = -1j / np.sqrt(units.hbar)
+    _by_planes(psi.grid, lambda part: np.multiply(part(psi.data), c, out=part(psi.data)))
     return psi
 
 

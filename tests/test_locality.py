@@ -410,6 +410,19 @@ def test_the_scan_of_a_64_cubed_part_peaks_below_two_fields():
     assert used <= 2.0 * field.data.nbytes
 
 
+def test_the_scan_of_an_unclaimed_64_cubed_part_peaks_below_3_8_fields():
+    # A part that claims nothing is measured: its transform, L applied to
+    # it and one buffer that holds Lv - v, then Lv + v (3.67 fields).
+    field = _state_3d("bb", n=64).field
+    part = to_position(helicity_project(strip_zero_mode(field), 1))
+    assert part.helicity == 0
+    peak = peak_magnitude(field)
+    window = 5.0 * field.grid.spacing
+    helicity_vanishing_scan(part, window, reference_peak=peak)  # fills the grid's caches
+    used = _traced_peak(lambda: helicity_vanishing_scan(part, window, reference_peak=peak))
+    assert used <= 3.8 * field.data.nbytes
+
+
 # The helicity claim: parts built by the projection are trusted, any other
 # field is measured.
 CLAIM_GRIDS = {1: Grid(1, 16.0, 256), 3: Grid(3, 8.0, 16)}
