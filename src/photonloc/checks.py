@@ -330,7 +330,9 @@ def suite_operator_algebra(grid1: Grid, grid3: Grid, seed: int = 7) -> SuiteResu
     proj_annih = _peak(pp_minus) / peak
     proj_sign = sign_gaps(parts, peak)
     # k^ at every mode, left unflagged: the projection must remove it whole.
-    unit_k = SpectralField(grid3, np.stack(np.broadcast_arrays(*_unit_k(grid3))), FREQUENCY)
+    unit_k = np.empty(grid3.field_shape)
+    _unit_k(grid3)(lambda a: a, *unit_k, np.empty(grid3.spatial_shape, bool))
+    unit_k = SpectralField(grid3, unit_k, FREQUENCY)
     proj_basis = _rel(transverse_project(both + unit_k), both)
 
     nz = grid3.k_magnitude > 0.0

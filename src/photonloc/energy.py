@@ -23,13 +23,15 @@ paths on the common zero-mean content (each helicity part of F with its
 zero mode stripped), while the returned values use the full field (the BB
 expression is pointwise exact for it).
 
-The LP path runs first and the BB path second.  Each path forms its
-image's two helicity parts (the second over the buffer of L applied to the
-image) and drops the image; each part is then taken off a list, freed after
-its inverse transform and magnitude, before the next is transformed.  A
-128**3 call therefore holds at its peak 4.17 (LP state) or 4.34 (BB state)
-times one field's bytes besides its input (tracemalloc; tests/test_energy.py
-bounds it by 4.7 at 64**3).
+The LP path runs first and the BB path second.  Every image and part the
+chain made is its own and is consumed in place: an image it made is split
+over its own buffer and the buffer of L applied to it, and each part gets
+W**(1/2) (LP path) and goes to position in its own buffer, freed after its
+magnitude, before the next part.  A buffer that the state, or a part still
+to come, may share is never written.  A 128**3 call therefore holds at its
+peak 3.19 (LP state) or 3.50 (BB state) times one field's bytes besides its
+input (tracemalloc; tests/test_cache_blocked_kernels.py bounds it by 3.6 at
+64**3).
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProbeCellError, VolumeOutOfDomainError
-from .fields import _by_planes, magnitude, strip_zero_mode, to_frequency, to_position
+from .fields import (_by_planes, _consumable, magnitude, strip_zero_mode, to_frequency,
+                     to_position)
 from .grid import Grid
 from .operators import apply_frequency_power, helicity_parts
 from .states import PhotonState, _bb_field, _lp_field
@@ -61,24 +64,33 @@ class EnergyDensityMap:
             raise ValueError("values must match the grid's spatial shape")
 
 
-def _quadrance(parts: list, through=None) -> np.ndarray:
+def _spend(field, *held):
+    """The field, consumable (see fields._consumable) unless one of the
+    arrays ``held``, which the caller still reads, may share its buffer."""
+    field.consumable = not any(np.may_share_memory(field.data, a) for a in held)
+    return field
+
+
+def _quadrance(parts: list, *held, through=None) -> np.ndarray:
     """|v(+)|**2 + |v(-)|**2 at the position nodes, for the pair of helicity
     parts on the list ``parts``, each first passed ``through`` a map if one
-    is given.  Each part is taken off the list and freed after its inverse
-    transform and magnitude."""
+    is given.  Each part is taken off the list; it goes through the map, and
+    what the map returns goes to position, in place, unless a later part or
+    an array ``held`` may share its buffer.  The magnitudes are squared and
+    summed in place."""
     grid, squares = parts[0].grid, []
     while parts:
         part = parts.pop(0)
+        others = (*held, *(p.data for p in parts))
         if through is not None:
-            part = through(part)
-        part = to_position(part)
+            part = through(_spend(part, *others))
+        part = to_position(_spend(part, *others))
         squares.append(magnitude(part))
         del part
     plus, minus = squares
-    total, tmp = np.empty_like(plus), np.empty_like(minus)
-    _by_planes(grid, lambda part: np.add(np.square(part(plus), out=part(total)),
-                                         np.square(part(minus), out=part(tmp)), out=part(total)))
-    return total
+    _by_planes(grid, lambda part: np.add(np.square(part(plus), out=part(plus)),
+                                         np.square(part(minus), out=part(minus)), out=part(plus)))
+    return plus
 
 
 def energy_density(state) -> EnergyDensityMap:
@@ -87,23 +99,26 @@ def energy_density(state) -> EnergyDensityMap:
     if not isinstance(state, PhotonState):
         raise TypeError(f"expected LPState or BBState, got {type(state).__name__}")
     u = state.units
+    kept = state.field.data             # the chain never writes here
     own = to_frequency(state.field)
     if state.representation == "lp":
-        psi_hat, f_hat = own, to_frequency(_bb_field(own, u, state.field.domain))
+        psi_hat = own
+        f_hat = to_frequency(_spend(_bb_field(own, u, state.field.domain), own.data, kept))
     else:
         psi_hat, f_hat = _lp_field(own, u, zero_mode="drop"), own
     del own
-    psi_parts = list(helicity_parts(psi_hat))
-    del psi_hat         # frees psi's frequency image; only its parts are needed
-    lp_vals = _quadrance(psi_parts, lambda p: apply_frequency_power(p, 0.5, u))
+    psi_parts = list(helicity_parts(_spend(psi_hat, f_hat.data, kept)))
+    del psi_hat         # the parts hold psi's frequency image, split in place when it is ours
+    lp_vals = _quadrance(psi_parts, f_hat.data, kept,
+                         through=lambda p: apply_frequency_power(p, 0.5, u))
     lp_vals *= u.hbar
-    f_parts = list(helicity_parts(f_hat))
-    del f_hat           # frees F's frequency image
+    f_parts = list(helicity_parts(_spend(f_hat, kept)))
+    del f_hat
     if state.representation == "lp":
-        values = ref = _quadrance(f_parts)
+        values = ref = _quadrance(f_parts, kept)
     else:
-        ref = _quadrance(f_parts[:], strip_zero_mode)
-        values = _quadrance(f_parts)
+        ref = _quadrance(f_parts[:], kept, *(p.data for p in f_parts), through=strip_zero_mode)
+        values = _quadrance(f_parts, kept)
 
     scale = float(np.max(ref))
     disc = 0.0 if scale == 0.0 else float(np.max(np.abs(lp_vals - ref))) / scale
@@ -204,25 +219,40 @@ def volume_weights(volume: DetectorVolume, grid: Grid) -> np.ndarray:
     overlaps are resolved linearly, which keeps detector energies continuous
     in the volume's boundaries.
     """
+    return _weights(volume, grid)
+
+
+def _weights(volume: DetectorVolume, grid: Grid, values=None) -> np.ndarray:
+    """volume_weights(volume, grid), times ``values`` if given: a 3d box's
+    weight is the product of its per-axis factors, formed block by block in
+    the sweep that multiplies the values."""
     volume.check_in_domain(grid)
     dx = grid.spacing
     mesh = grid.position_mesh()
+    head = None
     if volume.kind == "ball":
         dist = np.sqrt(sum((x - c) ** 2 for x, c in zip(mesh, volume.center)))
-        return np.clip((volume.radius - dist) / dx + 0.5, 0.0, 1.0)
-    *first, last = (np.clip((np.minimum(h, x + 0.5 * dx) - np.maximum(l, x - 0.5 * dx)) / dx,
-                            0.0, 1.0) for x, l, h in zip(mesh, volume.lo, volume.hi))
-    if not first:
-        return last
-    head, w = math.prod(first), np.empty(grid.spatial_shape)
-    _by_planes(grid, lambda part: np.multiply(part(head), part(last), out=part(w)))
+        w = np.clip((volume.radius - dist) / dx + 0.5, 0.0, 1.0)
+    else:
+        *first, w = (np.clip((np.minimum(h, x + 0.5 * dx) - np.maximum(l, x - 0.5 * dx)) / dx,
+                             0.0, 1.0) for x, l, h in zip(mesh, volume.lo, volume.hi))
+        if first:
+            head, last, w = math.prod(first), w, np.empty(grid.spatial_shape)
+
+    def kernel(part):
+        if head is not None:
+            np.multiply(part(head), part(last), out=part(w))
+        if values is not None:
+            np.multiply(part(w), part(values), out=part(w))
+
+    if head is not None or values is not None:
+        _by_planes(grid, kernel)
     return w
 
 
 def detector_energy(emap: EnergyDensityMap, volume: DetectorVolume) -> float:
     """Energy captured by a detector occupying the volume."""
-    w = volume_weights(volume, emap.grid)
-    _by_planes(emap.grid, lambda part: np.multiply(part(w), part(emap.values), out=part(w)))
+    w = _weights(volume, emap.grid, emap.values)
     return float(emap.grid.cell_volume * np.sum(w))
 
 

@@ -17,28 +17,40 @@ Scalar (one-dimensional) fields have data shape (n,), vector fields on a
 three-dimensional grid have shape (3, n, n, n).  Frequency data is stored
 in FFT order, zero mode first.
 
-Each transform allocates one complex array of the field's shape, never
-writes its input, and applies its phase and scale factors in place (the
-forward weight, scale times phase, is one real temporary).
+Each transform writes one complex array of the field's shape, a fresh one
+or, for a consumable field, the field's own buffer, and never writes any
+other input.  It applies its phase and scale factors in place, block by
+block.
 
 Field-sized 3d work runs in two halves of independent lines: one helper
 thread, started and joined inside the call, runs the first half while the
 caller runs the second (_on_both_cores).  A 3d transform runs as two axis
 passes: pass A, a 2d FFT over the last two axes of every (component, x)
 plane, split at x = n/2, and pass B, a 1d FFT along x of every line, split
-at y = n/2.  The inverse applies its phase inside the pass-A halves and its
-scale inside the pass-B halves; the forward applies scale times phase inside
-its pass-B halves.  Every line meets the same 1d kernel and the same
-elementwise products as one ``fftn`` over all three axes, which also runs
-the last axis first, so the output is the same to the bit.  The elementwise
-kernels between transforms split at x = n/2 (_by_planes): each element
-meets the ufunc loop it meets in the whole array, and a sum whose float
-depends on its order stays whole on the caller.  A half writes only into
-arrays the caller allocated, in the order whole-array code allocates them:
-a temporary made on the helper thread lands elsewhere in glibc's heap and
-raises peak RSS.  With one usable CPU, or n below _SPLIT_MIN_N, the caller
-runs the halves as one, as it does all 1d work.  The helper runs numpy
-calls only.
+at y = n/2.  Every line meets the same 1d kernel and the same elementwise
+products as one ``fftn`` over all three axes, which also runs the last axis
+first, so the output is the same to the bit.
+
+Each half is swept in blocks of whole planes, at most _BLOCK_SAMPLES samples
+of a spatial array and at least one plane (_blocks): every elementwise chain
+with temporaries runs over one block before the next, so its temporaries
+are block buffers that stay in cache, and the field-sized arrays are read
+and written once.  A kernel with no temporary runs each half whole, as a
+block would only add calls.  The inverse applies its phase block by block
+in pass A and its scale to each pass-B half; the forward forms scale times
+phase for each pass-B block in a block buffer, not in a field-sized
+weight.  The rule for a kernel (_by_planes):
+
+- the caller allocates every buffer, field-sized outputs and the block
+  buffers of each half, before the sweep; a half allocates nothing, since a
+  temporary made on the helper thread lands elsewhere in glibc's heap and
+  raises peak RSS;
+- each element meets the ufunc loop it meets in the whole array, and a
+  maximum is taken per block, which is exact;
+- a sum whose float depends on its order stays whole on the caller.
+
+With one usable CPU, or n below _SPLIT_MIN_N, the caller runs the halves as
+one, and 1d work runs whole on the caller.  The helper runs numpy calls only.
 """
 
 from __future__ import annotations
@@ -73,6 +85,12 @@ class SpectralField:
     eigenfield; only the helicity projection sets it, unmeasured, and every
     other field, copies and arithmetic results included, claims 0.  Writing
     into ``.data`` in place after construction voids both claims.
+
+    ``consumable`` (not a constructor argument, False on every field a
+    public function returns) marks a field whose buffer nothing else can
+    reach: a kernel given it may write its result there, which spends the
+    field.  Only the package's own chains set it (_consumable), on buffers
+    they made.
     """
 
     grid: Grid
@@ -80,6 +98,7 @@ class SpectralField:
     domain: str = POSITION
     transverse: bool = False
     helicity = 0
+    consumable = False
 
     def __post_init__(self):
         if self.domain not in (POSITION, FREQUENCY):
@@ -134,19 +153,23 @@ class SpectralField:
 
 
 def magnitude(field: SpectralField) -> np.ndarray:
-    """Pointwise Euclidean magnitude over components, a real array.  The
-    component moduli are squared in place, so a 3d field costs one real
-    array of its shape and the scalar sum."""
+    """Pointwise Euclidean magnitude over components, a real array.  A 3d
+    field's squared component moduli are summed per block, in the order of
+    a sum over the component axis, so it costs one real array of its shape."""
     if field.grid.dim == 1:
         return np.abs(field.data)
-    squares, total = np.empty(field.data.shape), np.empty(field.grid.spatial_shape)
-
-    def kernel(part):
-        np.square(np.abs(part(field.data), out=part(squares)), out=part(squares))
-        np.sqrt(np.sum(part(squares), axis=0, out=part(total)), out=part(total))
-
-    _by_planes(field.grid, kernel)
+    total = np.empty(field.grid.spatial_shape)
+    _by_planes(field.grid, lambda part, square: _magnitude(part(field.data), part(total), square),
+               np.float64)
     return total
+
+
+def _magnitude(v, out, square):
+    """sqrt((|v0|**2 + |v1|**2) + |v2|**2) into out, through the buffer square."""
+    np.square(np.abs(v[0], out=out), out=out)
+    for vi in v[1:]:
+        np.add(out, np.square(np.abs(vi, out=square), out=square), out=out)
+    return np.sqrt(out, out=out)
 
 
 def peak_magnitude(field: SpectralField) -> float:
@@ -161,10 +184,15 @@ def zero_mode_amplitude(field: SpectralField) -> float:
 
 
 def strip_zero_mode(field: SpectralField) -> SpectralField:
-    """The field with its spatial mean removed (returned in frequency domain)."""
+    """The field with its spatial mean removed (returned in frequency domain).
+
+    A position-domain field's frequency image is made here, so its mode is
+    zeroed in place; a frequency-domain field is copied first."""
     f = to_frequency(field)
-    data = np.empty(f.data.shape, np.complex128)
-    _by_planes(f.grid, lambda part: np.copyto(part(data), part(f.data)))
+    data = f.data
+    if f is field and not field.consumable:
+        data = np.empty(f.data.shape, np.complex128)
+        _by_planes(f.grid, lambda part: np.copyto(part(data), part(f.data)))
     data[f.grid.zero_mode_index()] = 0.0
     return _trusted(f.grid, data, FREQUENCY, f.transverse)
 
@@ -178,32 +206,36 @@ def _trusted(grid: Grid, data, domain: str, transverse: bool) -> SpectralField:
 
 
 def transversality_residual(field: SpectralField) -> float:
-    """max |k . v~| relative to the spectral peak of |k| |v~|."""
+    """max |k . v~| relative to the spectral peak of |k| |v~|, both maxima
+    taken per block and kept for each of the block's x-planes."""
     if field.grid.dim != 3:
         raise DimensionError("transversality is defined for three-dimensional fields")
     f = to_frequency(field)
-    dot = _dot(f.grid, f.grid.k_vectors, f.data)
-    div = np.empty(dot.shape)
-    _by_planes(f.grid, lambda part: np.abs(part(dot), out=part(div)))
-    del dot
-    scale = float(np.max(f.grid.k_magnitude * magnitude(f)))
-    if scale == 0.0:
+    g = f.grid
+    div, scale = np.empty(g.n), np.empty(g.n)
+
+    def kernel(part, dot, tmp):
+        v = part(f.data)
+        _dot(tuple(map(part, g.k_vectors)), v, dot, tmp)
+        mag, square = tmp.view(np.float64).reshape((2,) + tmp.shape)  # tmp's bytes, now free
+        part(div)[:] = np.max(np.abs(dot, out=mag))
+        part(scale)[:] = np.max(np.multiply(part(g.k_magnitude), _magnitude(v, mag, square),
+                                            out=mag))
+
+    _by_planes(g, kernel, np.complex128, np.complex128)
+    peak = float(np.max(scale))
+    if peak == 0.0:
         return 0.0
-    return float(np.max(div)) / scale
+    return float(np.max(div)) / peak
 
 
-def _dot(grid: Grid, a, v: np.ndarray) -> np.ndarray:
-    """(a0 v0 + a1 v1) + a2 v2 for a real multiplier triple a and complex
-    field data v, summed in one fresh array with one scalar temporary."""
-    dot, tmp = (np.empty(grid.spatial_shape, np.complex128) for _ in range(2))
-
-    def kernel(part):
-        np.multiply(part(a[0]), part(v[0]), out=part(dot))
-        for ai, vi in zip(a[1:], v[1:]):
-            np.add(part(dot), np.multiply(part(ai), part(vi), out=part(tmp)), out=part(dot))
-
-    _by_planes(grid, kernel)
-    return dot
+def _dot(a, v, out, tmp):
+    """(a0 v0 + a1 v1) + a2 v2 into out, for a real multiplier triple a and
+    complex components v, through the buffer tmp."""
+    np.multiply(a[0], v[0], out=out)
+    for ai, vi in zip(a[1:], v[1:]):
+        np.add(out, np.multiply(ai, vi, out=tmp), out=out)
+    return out
 
 
 def require_transverse(field: SpectralField, message: str):
@@ -228,46 +260,96 @@ def _usable_cpus() -> int:
 
 
 _SPLIT_MIN_N = 32      # below it, starting a thread costs more than it saves
+_BLOCK_SAMPLES = 1 << 14   # samples in a block of planes: one 128**3 plane, four 64**3
+
+
+def _halves(count: int) -> list:
+    """The ranges [lo, hi) that _on_both_cores runs, the helper's first."""
+    if count < _SPLIT_MIN_N or _usable_cpus() < 2:
+        return [(0, count)]
+    return [(0, count // 2), (count // 2, count)]
 
 
 def _on_both_cores(half, count: int):
     """Run half(lo, hi) over [0, count//2) on a helper thread and over
     [count//2, count) on the caller; raise here what the helper's half raised.
     With one usable CPU or count < _SPLIT_MIN_N, run half(0, count) alone."""
-    if count < _SPLIT_MIN_N or _usable_cpus() < 2:
-        half(0, count)
+    first, *rest = _halves(count)
+    if not rest:
+        half(*first)
         return
     failed = []
 
-    def first():
+    def run_first():
         try:
-            half(0, count // 2)
+            half(*first)
         except BaseException as exc:      # raised again on the caller
             failed.append(exc)
 
-    helper = threading.Thread(target=first, name="photonloc-half")
+    helper = threading.Thread(target=run_first, name="photonloc-half")
     helper.start()
     try:
-        half(count // 2, count)
+        half(*rest[0])
     finally:
         helper.join()
     if failed:
         raise failed[0]
 
 
-def _by_planes(grid: Grid, kernel):
-    """Run kernel(part), where part(a) is the share of a field-data or
-    spatial array a: on a 3d grid, the x-planes [lo, hi) of each half that
-    _on_both_cores runs (an array of one x-plane broadcasts along x and is
-    passed whole); on a 1d grid, a itself, in one call on the caller."""
+def _planes(n: int) -> int:
+    """Planes in a block of an n-point axis: _BLOCK_SAMPLES // n**2, at least one."""
+    return max(1, _BLOCK_SAMPLES // (n * n))
+
+
+def _blocks(lo: int, hi: int, planes: int):
+    """The runs [start, stop) of ``planes`` planes each, the last possibly
+    shorter, that tile the planes [lo, hi)."""
+    return ((start, min(start + planes, hi)) for start in range(lo, hi, planes))
+
+
+def _per_half(n: int, make) -> dict:
+    """make(planes), the block buffers of each half that
+    _on_both_cores(..., n) runs, keyed by the half's lo and made here, on
+    the caller."""
+    return {lo: make(min(_planes(n), hi - lo)) for lo, hi in _halves(n)}
+
+
+def _by_planes(grid: Grid, kernel, *scratch):
+    """Run kernel(part, *bufs), where part(a) is the share of a field-data or
+    spatial array a and bufs are block buffers of the dtypes ``scratch``,
+    each of the share's spatial shape.  On a 3d grid a share is a block of
+    x-planes [lo, hi) of a half (an array of one x-plane broadcasts along x
+    and is passed whole, and one with a value per x-plane gives its
+    [lo, hi)); a kernel that takes no block buffer keeps nothing in cache
+    from one ufunc to the next, so its share is the whole half.  On a 1d
+    grid the share is a itself, in one call on the caller."""
     if grid.dim == 1:
-        kernel(lambda a: a)
+        kernel(lambda a: a, *(np.empty(grid.spatial_shape, t) for t in scratch))
         return
+    n = grid.n
+    planes = _planes(n) if scratch else n
+    bufs = _per_half(n, lambda planes: [np.empty((planes, n, n), t) for t in scratch])
 
     def half(lo, hi):
-        kernel(lambda a: a[:, lo:hi] if a.ndim == 4 else a if len(a) == 1 else a[lo:hi])
+        for start, stop in _blocks(lo, hi, planes):
+            kernel(lambda a: (a[:, start:stop] if a.ndim == 4 else a if len(a) == 1
+                              else a[start:stop]),
+                   *(b[:stop - start] for b in bufs[lo]))
 
-    _on_both_cores(half, grid.n)
+    _on_both_cores(half, n)
+
+
+def _into(field: SpectralField) -> np.ndarray:
+    """The array a kernel writes its field-shaped result into: the field's
+    own buffer if the field is consumable, otherwise a fresh one."""
+    return field.data if field.consumable else np.empty(field.data.shape, np.complex128)
+
+
+def _consumable(field: SpectralField) -> SpectralField:
+    """Mark a field whose buffer no one else can reach, so that the next
+    kernel it is passed to may write its result there."""
+    field.consumable = True
+    return field
 
 
 def forward_transform(field: SpectralField) -> SpectralField:
@@ -276,19 +358,24 @@ def forward_transform(field: SpectralField) -> SpectralField:
         raise DomainError("forward_transform expects a position-domain field")
     g = field.grid
     scale = g.cell_volume * (2.0 * np.pi) ** (-0.5 * g.dim)
-    src, data = field.data, np.empty(field.data.shape, np.complex128)
-    weight = scale * g.alternating_phase
     if g.dim == 1:
-        np.fft.fft(src, out=data)
-        data *= weight
+        data = np.empty(field.data.shape, np.complex128)
+        np.fft.fft(field.data, out=data)
+        data *= scale * g.alternating_phase
         return _trusted(g, data, FREQUENCY, field.transverse)
+    src, data, phase = field.data, _into(field), g.alternating_phase
+    weights = _per_half(g.n, lambda planes: np.empty((g.n, planes, g.n)))
+
+    def pass_a(lo, hi):
+        np.fft.fftn(src[:, lo:hi], axes=(-2, -1), out=data[:, lo:hi])
 
     def pass_b(lo, hi):
-        lines = data[:, :, lo:hi]
-        np.fft.fft(lines, axis=-3, out=lines)
-        lines *= weight[:, lo:hi]
+        np.fft.fft(data[:, :, lo:hi], axis=-3, out=data[:, :, lo:hi])
+        for start, stop in _blocks(lo, hi, _planes(g.n)):    # scale times phase
+            weight = np.multiply(scale, phase[:, start:stop], out=weights[lo][:, :stop - start])
+            data[:, :, start:stop] *= weight
 
-    _by_planes(g, lambda part: np.fft.fftn(part(src), axes=(-2, -1), out=part(data)))
+    _on_both_cores(pass_a, g.n)
     _on_both_cores(pass_b, g.n)
     return _trusted(g, data, FREQUENCY, field.transverse)
 
@@ -304,19 +391,19 @@ def inverse_transform(field: SpectralField) -> SpectralField:
         np.fft.ifft(data, out=data)
         data *= scale
         return _trusted(g, data, POSITION, field.transverse)
-    src, data = field.data, np.empty(field.data.shape, np.complex128)
-    phase = g.alternating_phase
+    src, data, phase = field.data, _into(field), g.alternating_phase
 
-    def pass_a(part):
-        np.multiply(part(phase), part(src), out=part(data))
-        np.fft.ifftn(part(data), axes=(-2, -1), out=part(data))
+    def pass_a(lo, hi):
+        for start, stop in _blocks(lo, hi, _planes(g.n)):
+            np.multiply(phase[start:stop], src[:, start:stop], out=data[:, start:stop])
+        np.fft.ifftn(data[:, lo:hi], axes=(-2, -1), out=data[:, lo:hi])
 
     def pass_b(lo, hi):
         lines = data[:, :, lo:hi]
         np.fft.ifft(lines, axis=-3, out=lines)
         lines *= scale
 
-    _by_planes(g, pass_a)
+    _on_both_cores(pass_a, g.n)
     _on_both_cores(pass_b, g.n)
     return _trusted(g, data, POSITION, field.transverse)
 

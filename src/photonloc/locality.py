@@ -296,9 +296,8 @@ def helicity_vanishing_scan(field: SpectralField, window_size: float,
     other field is measured, and unless |Lv - sv| <= 1e-8 |v| for s = +1 or
     -1 it raises NotEigenfieldError.
     """
-    pos = to_position(field)
-    g = pos.grid
-    mag = magnitude(pos)
+    g = field.grid
+    mag = magnitude(to_position(field))    # the position copy is dropped here
     peak = float(np.max(mag))
     reference = peak if reference_peak is None else float(reference_peak)
 

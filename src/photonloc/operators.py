@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ZeroModeError, ZeroWaveVectorError
-from .fields import (FREQUENCY, POSITION, SpectralField, _by_planes, _dot, _trusted,
-                     require_transverse, to_frequency, to_position, zero_mode_amplitude)
+from .fields import (FREQUENCY, POSITION, SpectralField, _by_planes, _consumable, _dot,
+                     _into, _trusted, require_transverse, to_frequency, to_position,
+                     zero_mode_amplitude)
 # Re-exported: the residual is measured where a field is built (fields.py).
 from .fields import TRANSVERSE_TOL, transversality_residual  # noqa: F401
 from .grid import Grid, _polarization
@@ -42,11 +43,13 @@ def omega(grid: Grid, units: UnitsConfig = NATURAL) -> np.ndarray:
 
 
 def omega_power(grid: Grid, s: float, units: UnitsConfig = NATURAL) -> np.ndarray:
-    """The multiplier (c|k|)**s, set to zero at k = 0 for every s."""
-    w = omega(grid, units)
-    mult = np.zeros_like(w)
-    nonzero = w > 0.0
-    mult[nonzero] = w[nonzero] ** s
+    """The multiplier (c|k|)**s, set to zero at k = 0 for every s; the power
+    is taken in place, at every mode, and then zeroed where w(k) is 0."""
+    mult = omega(grid, units)
+    zero = mult <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mult **= s
+    mult[zero] = 0.0
     return mult
 
 
@@ -69,8 +72,10 @@ def zero_mode_guard(zero_mode: str, fields=(), message: str = ""):
 
 def _same_domain(field: SpectralField, freq_data: np.ndarray,
                  transverse: bool) -> SpectralField:
+    """A kernel's frequency-domain result in the input's domain; the result
+    is the kernel's own, so it goes to position in place."""
     out = _trusted(field.grid, freq_data, FREQUENCY, transverse)
-    return out if field.is_frequency else to_position(out)
+    return out if field.is_frequency else to_position(_consumable(out))
 
 
 def apply_frequency_power(field: SpectralField, s: float,
@@ -96,7 +101,7 @@ def apply_frequency_power(field: SpectralField, s: float,
                     "a negative frequency power cannot represent it "
                     "(use zero_mode='drop' to discard it)")
     mult = omega_power(f.grid, s, units)
-    out = np.empty(f.data.shape, np.complex128)
+    out = _into(field)          # f's buffer, when that is the consumable field's
     _by_planes(f.grid, lambda part: np.multiply(part(f.data), part(mult), out=part(out)))
     return _same_domain(field, out, field.transverse)
 
@@ -106,39 +111,48 @@ def curl(field: SpectralField) -> SpectralField:
     if field.grid.dim != 3:
         raise DimensionError("curl requires a three-dimensional vector field")
     f = to_frequency(field)
-    return _same_domain(field, _i_cross(f.grid, f.grid.k_vectors, f.data), True)
+    return _same_domain(field, _i_cross(f.grid, f.data), True)
 
 
-def _i_cross(grid: Grid, a, v: np.ndarray) -> np.ndarray:
-    """i a x v, for a real multiplier triple a and complex components v: each
-    component of the cross product is formed in its slice of one fresh array
-    with one scalar temporary, and the whole is multiplied by i in place."""
-    ax, ay, az = a
-    vx, vy, vz = v
+def _i_cross(grid: Grid, v: np.ndarray, unit=None) -> np.ndarray:
+    """i a x v for complex components v, with a = k, or k^ formed per block
+    by ``unit`` (what _unit_k returns): each component of the cross product
+    is formed in its slice of one fresh array through one block buffer, and
+    multiplied by i in place."""
     out = np.empty_like(v)
-    tmp = np.empty_like(vx)
 
-    def kernel(part):
-        for o, p, q, r, t in ((out[0], ay, vz, az, vy), (out[1], az, vx, ax, vz),
-                              (out[2], ax, vy, ay, vx)):
-            np.multiply(part(p), part(q), out=part(o))
-            np.subtract(part(o), np.multiply(part(r), part(t), out=part(tmp)), out=part(o))
-        np.multiply(part(out), 1j, out=part(out))
+    def kernel(part, tmp, *u):
+        ax, ay, az = tuple(map(part, grid.k_vectors)) if unit is None else unit(part, *u)
+        vx, vy, vz = part(v)
+        o = part(out)
+        for oi, p, q, r, t in ((o[0], ay, vz, az, vy), (o[1], az, vx, ax, vz),
+                               (o[2], ax, vy, ay, vx)):
+            np.multiply(p, q, out=oi)
+            np.subtract(oi, np.multiply(r, t, out=tmp), out=oi)
+        np.multiply(o, 1j, out=o)
 
-    _by_planes(grid, kernel)
+    _by_planes(grid, kernel, np.complex128, *(() if unit is None else _UNIT_SCRATCH))
     return out
 
 
-def _unit_k(grid: Grid) -> tuple:
+_UNIT_SCRATCH = (np.float64, np.float64, np.float64, np.bool_)
+
+
+def _unit_k(grid: Grid):
+    """k^ = k/|k| (k itself where |k| = 0) as a block kernel unit(part, ux,
+    uy, uz, zero), which writes the share ``part`` of each component into
+    the real block buffers ux, uy, uz and returns them.  It divides by |k|
+    held in uz, set to 1 where the bool buffer zero marks |k| = 0; the
+    buffers have the dtypes _UNIT_SCRATCH."""
     kmag = grid.k_magnitude
-    safe = np.where(kmag > 0.0, kmag, 1.0)
-    unit = tuple(np.empty(kmag.shape) for _ in range(3))
 
-    def kernel(part):
-        for k, u in zip(grid.k_vectors, unit):
-            np.divide(part(k), part(safe), out=part(u))
+    def unit(part, ux, uy, uz, zero):
+        np.copyto(uz, part(kmag))
+        np.copyto(uz, 1.0, where=np.equal(uz, 0.0, out=zero))   # |k| >= 0
+        for k, u in zip(grid.k_vectors, (ux, uy, uz)):
+            np.divide(part(k), uz, out=u)
+        return ux, uy, uz
 
-    _by_planes(grid, kernel)
     return unit
 
 
@@ -151,16 +165,16 @@ def transverse_project(field: SpectralField) -> SpectralField:
     if field.grid.dim != 3:
         raise DimensionError("transverse projection requires a three-dimensional field")
     f = to_frequency(field)
-    u = _unit_k(f.grid)
-    longdot = _dot(f.grid, u, f.data)
+    unit = _unit_k(f.grid)
     out = np.empty_like(f.data)
 
-    def kernel(part):
-        for ui, vi, oi in zip(u, f.data, out):
-            np.subtract(part(vi), np.multiply(part(ui), part(longdot), out=part(oi)),
-                        out=part(oi))
+    def kernel(part, longdot, tmp, *u):
+        u, v, o = unit(part, *u), part(f.data), part(out)
+        _dot(u, v, longdot, tmp)
+        for ui, vi, oi in zip(u, v, o):
+            np.subtract(vi, np.multiply(ui, longdot, out=oi), out=oi)
 
-    _by_planes(f.grid, kernel)
+    _by_planes(f.grid, kernel, np.complex128, np.complex128, *_UNIT_SCRATCH)
     idx = f.grid.zero_mode_index()
     out[idx] = f.data[idx]
     return _same_domain(field, out, True)
@@ -180,26 +194,38 @@ def helicity_apply(field: SpectralField) -> SpectralField:
         return _same_domain(field, out, field.transverse)
     require_transverse(f, "helicity is defined on divergence-free fields; "
                           "apply transverse_project first")
-    out = _i_cross(g, _unit_k(g), f.data)
+    out = _i_cross(g, f.data, _unit_k(g))
     out[g.zero_mode_index()] = 0.0
     return _same_domain(field, out, True)
 
 
 def _helicity_parts(field: SpectralField, signs) -> tuple:
-    """(1 + sign*L)/2 applied to the field for each sign, from one L.v: the
-    sum or difference of v and L.v, halved in place, in one fresh array for
-    every sign but the last, which is written over L.v.  L**2 = 1 on a
-    transverse field with a zero mode exactly 0, whose parts claim their sign."""
+    """(1 + sign*L)/2 applied to the field for each of one or two signs, from
+    one L.v, in one sweep: the sum or difference of v and L.v, halved.  The
+    last part is written over L.v; the first of two goes through a block
+    buffer into a fresh array, or into v's own buffer when the field is
+    consumable.  L**2 = 1 on a transverse field with a zero mode exactly 0,
+    whose parts claim their sign."""
     f = to_frequency(field)
     lam = helicity_apply(f)
     transverse = lam.transverse or field.transverse
     claim = transverse and not f.data[f.grid.zero_mode_index()].any()
+    *first, last = [np.add if sign > 0 else np.subtract for sign in signs]
+    outs = [_into(field) for _ in first] + [lam.data]
+
+    def kernel(part, tmp):
+        shares = (part(a).reshape((-1,) + tmp.shape) for a in (f.data, lam.data, *outs[:-1]))
+        v, lv, *o = shares                  # components of v, L.v and a first part
+        for c in range(len(v)):             # per component
+            if first:
+                np.multiply(first[0](v[c], lv[c], out=tmp), 0.5, out=tmp)
+            np.multiply(last(v[c], lv[c], out=lv[c]), 0.5, out=lv[c])
+            if first:                       # stored once L.v's part is formed
+                np.copyto(o[0][c], tmp)
+
+    _by_planes(f.grid, kernel, np.complex128)
     parts = []
-    for i, sign in enumerate(signs):
-        out = lam.data if i == len(signs) - 1 else np.empty(f.data.shape, np.complex128)
-        op = np.add if sign > 0 else np.subtract
-        _by_planes(f.grid, lambda part: np.multiply(
-            op(part(f.data), part(lam.data), out=part(out)), 0.5, out=part(out)))
+    for sign, out in zip(signs, outs):
         parts.append(_same_domain(field, out, transverse))
         parts[-1].helicity = sign if claim else 0
     return tuple(parts)

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridMismatchError, ZeroStateError
-from .fields import (FREQUENCY, SpectralField, _by_planes, l2_inner, l2_norm,
+from .fields import (FREQUENCY, SpectralField, _by_planes, _consumable, l2_inner, l2_norm,
                      require_transverse, to_frequency, to_position)
 from .operators import (_same_domain, apply_frequency_power, curl, helicity_apply,
                         omega, omega_power, zero_mode_guard)
@@ -50,6 +50,19 @@ def _check_physical_field(field: SpectralField, name: str, require_real: bool = 
         if im > REAL_TOL * peak:
             raise ValueError(f"{name} must be a real field (max |Im| = {im:.3e})")
     require_transverse(field, f"{name} must be divergence-free")
+
+
+def _finite(field: SpectralField) -> bool:
+    """Whether every sample is finite, tested per block and component."""
+    bad = []
+
+    def kernel(part, ok):
+        for v in part(field.data).reshape((-1,) + ok.shape):
+            if not np.isfinite(v, out=ok).all():
+                bad.append(True)
+
+    _by_planes(field.grid, kernel, np.bool_)
+    return not bad
 
 
 def _check_state_field(field: SpectralField):
@@ -106,7 +119,7 @@ class PhotonState:
         if not isinstance(self.units, UnitsConfig):
             raise TypeError(f"units must be a UnitsConfig, got {type(self.units).__name__}")
         _check_state_field(self.field)
-        if not np.isfinite(self.field.data).all():  # then the norm is not finite
+        if not _finite(self.field):         # then the norm is not finite
             raise ValueError(f"state norm must be finite, got {self._norm()}")
 
     @cached_property
@@ -172,11 +185,11 @@ def lp_from_potentials(em: EMFields, units: UnitsConfig = NATURAL,
 
 def _bb_field(psi_hat: SpectralField, units: UnitsConfig, domain: str) -> SpectralField:
     """F = i sqrt(hbar) W**(1/2) psi from psi's frequency image, returned in
-    ``domain``; the factor i sqrt(hbar) is applied last, in place, in that
-    domain, after the frequency-domain W**(1/2) psi is dropped."""
+    ``domain``; W**(1/2) psi goes to that domain in place, and the factor
+    i sqrt(hbar) is applied last, in place."""
     half = apply_frequency_power(psi_hat, 0.5, units)
     if domain != FREQUENCY:
-        half = to_position(half)
+        half = to_position(_consumable(half))
     c = 1j * np.sqrt(units.hbar)
     _by_planes(half.grid, lambda part: np.multiply(part(half.data), c, out=part(half.data)))
     return half

@@ -398,21 +398,24 @@ def test_a_nan_sample_reaches_every_window_maximum_that_holds_it(dim, rng):
                           equal_nan=True)
 
 
-def test_the_scan_of_a_64_cubed_part_peaks_below_two_fields():
+def test_the_scan_of_a_64_cubed_part_peaks_below_1_25_fields():
     # As the field3d benchmark scans: a claimed frequency-domain part of the
-    # zero-mean field, against the whole field's peak.
+    # zero-mean field, against the whole field's peak.  Its position copy is
+    # dropped once the magnitude exists: 1.18 fields, bounded with a margin
+    # of 0.07.
     field = _state_3d("bb", n=64).field
     part = helicity_project(strip_zero_mode(field), 1)
     peak = peak_magnitude(field)
     window = 5.0 * field.grid.spacing
     helicity_vanishing_scan(part, window, reference_peak=peak)  # fills the grid's caches
     used = _traced_peak(lambda: helicity_vanishing_scan(part, window, reference_peak=peak))
-    assert used <= 2.0 * field.data.nbytes
+    assert used <= 1.25 * field.data.nbytes
 
 
-def test_the_scan_of_an_unclaimed_64_cubed_part_peaks_below_3_8_fields():
+def test_the_scan_of_an_unclaimed_64_cubed_part_peaks_below_3_75_fields():
     # A part that claims nothing is measured: its transform, L applied to
-    # it and one buffer that holds Lv - v, then Lv + v (3.67 fields).
+    # it and one buffer that holds Lv - v, then Lv + v (3.67 fields, bounded
+    # with a margin of 0.08).
     field = _state_3d("bb", n=64).field
     part = to_position(helicity_project(strip_zero_mode(field), 1))
     assert part.helicity == 0
@@ -420,7 +423,7 @@ def test_the_scan_of_an_unclaimed_64_cubed_part_peaks_below_3_8_fields():
     window = 5.0 * field.grid.spacing
     helicity_vanishing_scan(part, window, reference_peak=peak)  # fills the grid's caches
     used = _traced_peak(lambda: helicity_vanishing_scan(part, window, reference_peak=peak))
-    assert used <= 3.8 * field.data.nbytes
+    assert used <= 3.75 * field.data.nbytes
 
 
 # The helicity claim: parts built by the projection are trusted, any other
