@@ -43,8 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProbeCellError, VolumeOutOfDomainError
-from .fields import (_by_planes, _consumable, magnitude, strip_zero_mode, to_frequency,
-                     to_position)
+from .fields import _by_planes, magnitude, strip_zero_mode, to_frequency, to_position
 from .grid import Grid
 from .operators import apply_frequency_power, helicity_parts
 from .states import PhotonState, _bb_field, _lp_field

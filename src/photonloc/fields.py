@@ -19,8 +19,7 @@ in FFT order, zero mode first.
 
 Each transform writes one complex array of the field's shape, a fresh one
 or, for a consumable field, the field's own buffer, and never writes any
-other input.  It applies its phase and scale factors in place, block by
-block.
+other input.  It applies its phase and scale factors in place.
 
 Field-sized 3d work runs in two halves of independent lines: one helper
 thread, started and joined inside the call, runs the first half while the
@@ -328,7 +327,7 @@ def _by_planes(grid: Grid, kernel, *scratch):
         return
     n = grid.n
     planes = _planes(n) if scratch else n
-    bufs = _per_half(n, lambda planes: [np.empty((planes, n, n), t) for t in scratch])
+    bufs = _per_half(n, lambda m: [np.empty((m, n, n), t) for t in scratch])
 
     def half(lo, hi):
         for start, stop in _blocks(lo, hi, planes):
@@ -364,7 +363,7 @@ def forward_transform(field: SpectralField) -> SpectralField:
         data *= scale * g.alternating_phase
         return _trusted(g, data, FREQUENCY, field.transverse)
     src, data, phase = field.data, _into(field), g.alternating_phase
-    weights = _per_half(g.n, lambda planes: np.empty((g.n, planes, g.n)))
+    weights = _per_half(g.n, lambda m: np.empty((g.n, m, g.n)))
 
     def pass_a(lo, hi):
         np.fft.fftn(src[:, lo:hi], axes=(-2, -1), out=data[:, lo:hi])
