@@ -292,7 +292,7 @@ def test_a_state_at_64_cubed_is_checked_without_a_field_sized_bool(monkeypatch, 
 
 @pytest.mark.parametrize("representation", ["lp", "bb"])
 def test_energy_density_at_64_cubed_peaks_below_3_6_fields(monkeypatch, representation):
-    # 3.52 fields for both representations when this bound was set.
+    # 3.19 fields for LP and 3.52 for BB when this bound was set.
     _split_every_pass(monkeypatch)
     state = _state_3d(representation, n=64)
     peak, _ = _peak_over_output(lambda: energy_density(state))
