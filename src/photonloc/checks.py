@@ -502,12 +502,15 @@ def suite_parseval_energy(figset, grid1: Grid, seed: int = 17) -> SuiteResult:
     """Position-side energy integrals match momentum-side quadrature."""
     rng = np.random.default_rng(seed)
 
-    def lp_energy_error(state: LPState) -> float:
-        tot = total_energy(energy_density(state))
-        spectral = state.units.hbar * lp_inner(
+    def spectral(state: LPState) -> float:
+        """hbar <psi, W psi> in the state's own units."""
+        return state.units.hbar * lp_inner(
             state, LPState(apply_frequency_power(state.psi, 1.0, state.units),
                            state.units)).real
-        return abs(tot - spectral) / abs(spectral)
+
+    def lp_energy_error(state: LPState) -> float:
+        tot, want = total_energy(energy_density(state)), spectral(state)
+        return abs(tot - want) / abs(want)
 
     lp_errors = [lp_energy_error(figset.states["a"]), lp_energy_error(figset.states["b"])]
     lp_errors += [lp_energy_error(LPState(random_band_limited(grid1, rng)))
@@ -516,10 +519,7 @@ def suite_parseval_energy(figset, grid1: Grid, seed: int = 17) -> SuiteResult:
     state_c = figset.states["c"]
     fc = to_frequency(state_c.f)
     norm0_sq = grid1.k_cell_volume * float(np.sum(np.abs(strip_zero_mode(fc).data) ** 2))
-    psi_c = lp_from_bb(state_c, zero_mode="drop")
-    spectral_c = state_c.units.hbar * lp_inner(
-        psi_c, LPState(apply_frequency_power(psi_c.psi, 1.0))).real
-    bb_reg = abs(spectral_c - norm0_sq) / norm0_sq
+    bb_reg = abs(spectral(lp_from_bb(state_c, zero_mode="drop")) - norm0_sq) / norm0_sq
     # The zero mode is helicity-neutral and lands half in each projection,
     # so the integrated density is |F|^2 minus half the mean's weight.
     full_norm_sq = grid1.k_cell_volume * float(np.sum(np.abs(fc.data) ** 2))

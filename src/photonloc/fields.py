@@ -21,14 +21,16 @@ Each transform writes one complex array of the field's shape, a fresh one
 or, for a consumable field, the field's own buffer, and never writes any
 other input.  It applies its phase and scale factors in place.
 
-Field-sized 3d work runs in two halves of independent lines: one helper
-thread, started and joined inside the call, runs the first half while the
-caller runs the second (_on_both_cores).  A 3d transform runs as two axis
-passes: pass A, a 2d FFT over the last two axes of every (component, x)
-plane, split at x = n/2, and pass B, a 1d FFT along x of every line, split
-at y = n/2.  Every line meets the same 1d kernel and the same elementwise
-products as one ``fftn`` over all three axes, which also runs the last axis
-first, so the output is the same to the bit.
+Field-sized 3d work runs in two halves of independent lines through one
+primitive, _on_both_cores: it reads the split once, makes each half's
+buffers on the caller from that reading, and then one helper thread,
+started and joined inside the call, runs the first half while the caller
+runs the second.  A 3d transform runs as two axis passes: pass A, a 2d FFT
+over the last two axes of every (component, x) plane, split at x = n/2,
+and pass B, a 1d FFT along x of every line, split at y = n/2.  Every line
+meets the same 1d kernel and the same elementwise products as one ``fftn``
+over all three axes, which also runs the last axis first, so the output is
+the same to the bit.
 
 Each half is swept in blocks of whole planes, at most _BLOCK_SAMPLES samples
 of a spatial array and at least one plane (_blocks): every elementwise chain
@@ -41,9 +43,10 @@ phase for each pass-B block in a block buffer, not in a field-sized
 weight.  The rule for a kernel (_by_planes):
 
 - the caller allocates every buffer, field-sized outputs and the block
-  buffers of each half, before the sweep; a half allocates nothing, since a
-  temporary made on the helper thread lands elsewhere in glibc's heap and
-  raises peak RSS;
+  buffers of each half, before the sweep; a half allocates none of the
+  package's arrays, since an array made on the helper thread lands
+  elsewhere in glibc's heap and raises peak RSS (numpy's own cast buffers
+  are the exception);
 - each element meets the ufunc loop it meets in the whole array, and a
   maximum is taken per block, which is exact;
 - a sum whose float depends on its order stays whole on the caller.
@@ -262,33 +265,30 @@ _SPLIT_MIN_N = 32      # below it, starting a thread costs more than it saves
 _BLOCK_SAMPLES = 1 << 14   # samples in a block of planes: one 128**3 plane, four 64**3
 
 
-def _halves(count: int) -> list:
-    """The ranges [lo, hi) that _on_both_cores runs, the helper's first."""
+def _on_both_cores(half, count: int, make=lambda lo, hi: ()):
+    """Run half(lo, hi, *make(lo, hi)) over [0, count//2) on a helper thread
+    and over [count//2, count) on the caller; raise here what the helper's
+    half raised.  The split is read once, and make(lo, hi), the half's
+    buffers, runs for both halves on the caller before the helper starts.
+    With one usable CPU or count < _SPLIT_MIN_N, run the range [0, count)
+    alone on the caller."""
     if count < _SPLIT_MIN_N or _usable_cpus() < 2:
-        return [(0, count)]
-    return [(0, count // 2), (count // 2, count)]
-
-
-def _on_both_cores(half, count: int):
-    """Run half(lo, hi) over [0, count//2) on a helper thread and over
-    [count//2, count) on the caller; raise here what the helper's half raised.
-    With one usable CPU or count < _SPLIT_MIN_N, run half(0, count) alone."""
-    first, *rest = _halves(count)
-    if not rest:
-        half(*first)
+        half(0, count, *make(0, count))
         return
+    mid = count // 2
+    first, second = make(0, mid), make(mid, count)
     failed = []
 
     def run_first():
         try:
-            half(*first)
+            half(0, mid, *first)
         except BaseException as exc:      # raised again on the caller
             failed.append(exc)
 
     helper = threading.Thread(target=run_first, name="photonloc-half")
     helper.start()
     try:
-        half(*rest[0])
+        half(mid, count, *second)
     finally:
         helper.join()
     if failed:
@@ -306,13 +306,6 @@ def _blocks(lo: int, hi: int, planes: int):
     return ((start, min(start + planes, hi)) for start in range(lo, hi, planes))
 
 
-def _per_half(n: int, make) -> dict:
-    """make(planes), the block buffers of each half that
-    _on_both_cores(..., n) runs, keyed by the half's lo and made here, on
-    the caller."""
-    return {lo: make(min(_planes(n), hi - lo)) for lo, hi in _halves(n)}
-
-
 def _by_planes(grid: Grid, kernel, *scratch):
     """Run kernel(part, *bufs), where part(a) is the share of a field-data or
     spatial array a and bufs are block buffers of the dtypes ``scratch``,
@@ -327,15 +320,15 @@ def _by_planes(grid: Grid, kernel, *scratch):
         return
     n = grid.n
     planes = _planes(n) if scratch else n
-    bufs = _per_half(n, lambda m: [np.empty((m, n, n), t) for t in scratch])
 
-    def half(lo, hi):
+    def half(lo, hi, *bufs):
         for start, stop in _blocks(lo, hi, planes):
             kernel(lambda a: (a[:, start:stop] if a.ndim == 4 else a if len(a) == 1
                               else a[start:stop]),
-                   *(b[:stop - start] for b in bufs[lo]))
+                   *(b[:stop - start] for b in bufs))
 
-    _on_both_cores(half, n)
+    _on_both_cores(half, n, lambda lo, hi: [np.empty((min(planes, hi - lo), n, n), t)
+                                            for t in scratch])
 
 
 def _into(field: SpectralField) -> np.ndarray:
@@ -363,19 +356,19 @@ def forward_transform(field: SpectralField) -> SpectralField:
         data *= scale * g.alternating_phase
         return _trusted(g, data, FREQUENCY, field.transverse)
     src, data, phase = field.data, _into(field), g.alternating_phase
-    weights = _per_half(g.n, lambda m: np.empty((g.n, m, g.n)))
+    planes = _planes(g.n)
 
     def pass_a(lo, hi):
         np.fft.fftn(src[:, lo:hi], axes=(-2, -1), out=data[:, lo:hi])
 
-    def pass_b(lo, hi):
+    def pass_b(lo, hi, buf):
         np.fft.fft(data[:, :, lo:hi], axis=-3, out=data[:, :, lo:hi])
-        for start, stop in _blocks(lo, hi, _planes(g.n)):    # scale times phase
-            weight = np.multiply(scale, phase[:, start:stop], out=weights[lo][:, :stop - start])
+        for start, stop in _blocks(lo, hi, planes):    # scale times phase
+            weight = np.multiply(scale, phase[:, start:stop], out=buf[:, :stop - start])
             data[:, :, start:stop] *= weight
 
     _on_both_cores(pass_a, g.n)
-    _on_both_cores(pass_b, g.n)
+    _on_both_cores(pass_b, g.n, lambda lo, hi: (np.empty((g.n, min(planes, hi - lo), g.n)),))
     return _trusted(g, data, FREQUENCY, field.transverse)
 
 

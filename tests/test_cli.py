@@ -363,6 +363,15 @@ def test_check_passes_at_reduced_resolution(tmp_path):
     assert len(report["suites"]) == 10
 
 
+@pytest.mark.parametrize("units", [["--hbar", "4", "--c", "0.25", "--eps0", "16"],
+                                   ["--c", "2"]], ids=["hbar4-c0.25-eps16", "c2"])
+def test_check_passes_in_non_natural_units(tmp_path, units):
+    # Every energy oracle is taken in the state's own units.
+    res = run_cli(["check", "--grid-n", "256"] + units, cwd=tmp_path)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "all suites passed" in res.stdout
+
+
 def test_check_detects_infeasible_floor(tmp_path):
     res = run_cli(["check", "--grid-n", "256", "--floor", "1e-30"], cwd=tmp_path)
     assert res.returncode == 2
