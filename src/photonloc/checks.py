@@ -47,8 +47,8 @@ import numpy as np
 
 from .energy import DetectorVolume, EnergyDensityMap, energy_density, knight_locality_test, total_energy
 from .errors import PhotonlocError
-from .fields import (FREQUENCY, POSITION, SpectralField, _trusted, l2_inner, l2_norm,
-                     magnitude, strip_zero_mode, to_frequency, to_position)
+from .fields import (FREQUENCY, POSITION, SpectralField, _max_abs, _peak, _rel, _trusted,
+                     l2_inner, l2_norm, magnitude, strip_zero_mode, to_frequency, to_position)
 from .grid import Grid
 from .locality import (PHYSICAL_FLOOR, _window_maxima, antilocality_witness,
                        helicity_scans, support_estimate, tail_exponent_fit,
@@ -108,44 +108,6 @@ def _above(name, samples, bound) -> CheckResult:
 def _at_most(name, samples, bound) -> CheckResult:
     value = _worst(samples)
     return CheckResult(name, value, float(bound), "<=", value <= bound)
-
-
-def _data(v) -> np.ndarray:
-    return v.data if isinstance(v, SpectralField) else np.asarray(v)
-
-
-REDUCE_BLOCK = 1 << 14  # samples per block of a max |a - b| reduction
-
-
-def _max_abs(a: np.ndarray, b: np.ndarray = None) -> float:
-    """max |a - b| (max |a| without b) over every sample of two arrays of one
-    shape, reduced block by block, so no temporary of the arrays' size is
-    made.  Max is exact, so the value is that of the whole-array expression;
-    a NaN anywhere gives NaN."""
-    a = a.reshape(-1)
-    b = None if b is None else b.reshape(-1)
-    maxima = []
-    for lo in range(0, a.size, REDUCE_BLOCK):
-        block = a[lo:lo + REDUCE_BLOCK]
-        if b is not None:
-            block = block - b[lo:lo + REDUCE_BLOCK]
-        maxima.append(np.max(np.abs(block)))
-    return float(np.max(maxima))
-
-
-def _peak(b) -> float:
-    """max |b| over every sample of an array or field."""
-    return _max_abs(_data(b))
-
-
-def _rel(a, b, peak=None) -> float:
-    """max |a - b| relative to the peak of b (arrays or fields of one
-    shape).  A caller that compares several fields with one b measures
-    ``peak = _peak(b)`` once and passes it."""
-    db = _data(b)
-    scale = _max_abs(db) if peak is None else peak
-    diff = _max_abs(_data(a), db)
-    return diff / scale if scale > 0.0 else diff
 
 
 # ---------------------------------------------------------------- builders

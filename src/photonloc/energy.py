@@ -7,8 +7,9 @@ energy density has the expectation value
          = |F(+)(x)|**2 + |F(-)(x)|**2,
 
 where (+-) are the helicity parts.  The two lines are the same quantity
-computed through the LP and BB layers; both are evaluated and their maximum
-relative deviation is kept as a cross-check diagnostic.
+computed through the LP and BB layers; both are evaluated, and the
+diagnostic two_path_discrepancy is fields._rel of the LP line against the
+BB reference, max |u_LP - u_BB| / max u_BB (absolute if u_BB is all zero).
 
 Both lines are Fourier multipliers up to the final |.|**2, so both are
 computed from one frequency image of the state's field: the other
@@ -43,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProbeCellError, VolumeOutOfDomainError
-from .fields import _by_planes, magnitude, strip_zero_mode, to_frequency, to_position
+from .fields import (_by_planes, _consumable, _rel, magnitude, strip_zero_mode,
+                     to_frequency, to_position)
 from .grid import Grid
 from .operators import apply_frequency_power, helicity_parts
 from .states import PhotonState, _bb_field, _lp_field
@@ -63,13 +65,6 @@ class EnergyDensityMap:
             raise ValueError("values must match the grid's spatial shape")
 
 
-def _spend(field, *held):
-    """The field, consumable (see fields._consumable) unless one of the
-    arrays ``held``, which the caller still reads, may share its buffer."""
-    field.consumable = not any(np.may_share_memory(field.data, a) for a in held)
-    return field
-
-
 def _quadrance(parts: list, *held, through=None) -> np.ndarray:
     """|v(+)|**2 + |v(-)|**2 at the position nodes, for the pair of helicity
     parts on the list ``parts``, each first passed ``through`` a map if one
@@ -82,8 +77,8 @@ def _quadrance(parts: list, *held, through=None) -> np.ndarray:
         part = parts.pop(0)
         others = (*held, *(p.data for p in parts))
         if through is not None:
-            part = through(_spend(part, *others))
-        part = to_position(_spend(part, *others))
+            part = through(_consumable(part, *others))
+        part = to_position(_consumable(part, *others))
         squares.append(magnitude(part))
         del part
     plus, minus = squares
@@ -102,26 +97,23 @@ def energy_density(state) -> EnergyDensityMap:
     own = to_frequency(state.field)
     if state.representation == "lp":
         psi_hat = own
-        f_hat = to_frequency(_spend(_bb_field(own, u, state.field.domain), own.data, kept))
+        f_hat = to_frequency(_consumable(_bb_field(own, u, state.field.domain), own.data, kept))
     else:
         psi_hat, f_hat = _lp_field(own, u, zero_mode="drop"), own
     del own
-    psi_parts = list(helicity_parts(_spend(psi_hat, f_hat.data, kept)))
+    psi_parts = list(helicity_parts(_consumable(psi_hat, f_hat.data, kept)))
     del psi_hat         # the parts hold psi's frequency image, split in place when it is ours
     lp_vals = _quadrance(psi_parts, f_hat.data, kept,
                          through=lambda p: apply_frequency_power(p, 0.5, u))
     lp_vals *= u.hbar
-    f_parts = list(helicity_parts(_spend(f_hat, kept)))
+    f_parts = list(helicity_parts(_consumable(f_hat, kept)))
     del f_hat
     if state.representation == "lp":
         values = ref = _quadrance(f_parts, kept)
     else:
         ref = _quadrance(f_parts[:], kept, *(p.data for p in f_parts), through=strip_zero_mode)
         values = _quadrance(f_parts, kept)
-
-    scale = float(np.max(ref))
-    disc = 0.0 if scale == 0.0 else float(np.max(np.abs(lp_vals - ref))) / scale
-    return EnergyDensityMap(state.grid, values, disc)
+    return EnergyDensityMap(state.grid, values, _rel(lp_vals, ref))
 
 
 def total_energy(emap: EnergyDensityMap) -> float:

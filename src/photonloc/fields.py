@@ -53,6 +53,12 @@ weight.  The rule for a kernel (_by_planes):
 
 With one usable CPU, or n below _SPLIT_MIN_N, the caller runs the halves as
 one, and 1d work runs whole on the caller.  The helper runs numpy calls only.
+
+Every max |a - b| the package compares is reduced here, per run of
+_BLOCK_SAMPLES samples on the caller (_max_abs, _peak, _rel); _rel(a, b) is
+max |a - b| over max |b|, or absolute where b is identically zero.  Only
+_consumable(field, *held) marks a buffer a chain made as spendable, unless
+an array ``held``, which the chain still reads, may share it.
 """
 
 from __future__ import annotations
@@ -301,9 +307,38 @@ def _planes(n: int) -> int:
 
 
 def _blocks(lo: int, hi: int, planes: int):
-    """The runs [start, stop) of ``planes`` planes each, the last possibly
-    shorter, that tile the planes [lo, hi)."""
+    """The runs [start, stop) of ``planes`` planes (or samples) each, the
+    last possibly shorter, that tile [lo, hi)."""
     return ((start, min(start + planes, hi)) for start in range(lo, hi, planes))
+
+
+def _data(v) -> np.ndarray:
+    return v.data if isinstance(v, SpectralField) else np.asarray(v)
+
+
+def _max_abs(a: np.ndarray, b: np.ndarray = None) -> float:
+    """max |a - b| (max |a| without b) over every sample of two arrays of one
+    shape, reduced _BLOCK_SAMPLES samples at a time; a NaN anywhere gives NaN."""
+    a = a.reshape(-1)
+    b = None if b is None else b.reshape(-1)
+    maxima = [np.max(np.abs(a[lo:hi] if b is None else a[lo:hi] - b[lo:hi]))
+              for lo, hi in _blocks(0, a.size, _BLOCK_SAMPLES)]
+    return float(np.max(maxima))
+
+
+def _peak(b) -> float:
+    """max |b| over every sample of an array or field."""
+    return _max_abs(_data(b))
+
+
+def _rel(a, b, peak=None) -> float:
+    """max |a - b| relative to the peak of b (arrays or fields of one
+    shape), or absolute where that peak is 0.  A caller that compares
+    several fields with one b measures ``peak = _peak(b)`` once and passes it."""
+    db = _data(b)
+    scale = _max_abs(db) if peak is None else peak
+    diff = _max_abs(_data(a), db)
+    return diff / scale if scale > 0.0 else diff
 
 
 def _by_planes(grid: Grid, kernel, *scratch):
@@ -337,10 +372,11 @@ def _into(field: SpectralField) -> np.ndarray:
     return field.data if field.consumable else np.empty(field.data.shape, np.complex128)
 
 
-def _consumable(field: SpectralField) -> SpectralField:
-    """Mark a field whose buffer no one else can reach, so that the next
-    kernel it is passed to may write its result there."""
-    field.consumable = True
+def _consumable(field: SpectralField, *held) -> SpectralField:
+    """The field, marked consumable, so that the next kernel it is passed to
+    may write its result in its buffer, unless one of the arrays ``held``,
+    which the caller still reads, may share that buffer."""
+    field.consumable = not any(np.may_share_memory(field.data, a) for a in held)
     return field
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from .energy import DetectorVolume, EnergyDensityMap, volume_weights
 from .errors import (InsufficientWindowError, NotEigenfieldError, SupportError,
                      ZeroStateError)
-from .fields import (SpectralField, l2_norm, magnitude, peak_magnitude,
+from .fields import (SpectralField, _rel, l2_norm, magnitude, peak_magnitude,
                      strip_zero_mode, to_frequency, to_position)
 from .operators import apply_frequency_power, helicity_apply, helicity_parts
 from .states import LPState, _check_physical_field, normalize
@@ -380,6 +380,4 @@ def vector_potential_localized_state(xi: SpectralField, region: DetectorVolume,
     recovered = to_position(apply_frequency_power(state.psi, -0.5, units))
     xi_unit = pos / l2_norm(pos)
     rec_unit = recovered / l2_norm(recovered)
-    num = float(np.max(np.abs(rec_unit.data - xi_unit.data)))
-    deviation = num / float(np.max(np.abs(xi_unit.data)))
-    return LocalizedStateConstruction(state, est, deviation)
+    return LocalizedStateConstruction(state, est, _rel(rec_unit, xi_unit))

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import DimensionError, ZeroModeError, ZeroWaveVectorError
 from .fields import (FREQUENCY, POSITION, SpectralField, _by_planes, _consumable, _dot,
-                     _into, _trusted, require_transverse, to_frequency, to_position,
-                     zero_mode_amplitude)
+                     _into, _max_abs, _trusted, require_transverse, to_frequency,
+                     to_position, zero_mode_amplitude)
 # Re-exported: the residual is measured where a field is built (fields.py).
 from .fields import TRANSVERSE_TOL, transversality_residual  # noqa: F401
 from .grid import Grid, _polarization
@@ -65,7 +65,7 @@ def zero_mode_guard(zero_mode: str, fields=(), message: str = ""):
         raise ValueError(f"zero_mode must be 'raise' or 'drop', got {zero_mode!r}")
     if zero_mode == "raise":
         for f in fields:
-            peak = float(np.max(np.abs(f.data)))
+            peak = _max_abs(f.data)
             if peak > 0.0 and zero_mode_amplitude(f) > ZERO_MODE_TOL * peak:
                 raise ZeroModeError(message)
 

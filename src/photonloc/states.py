@@ -33,8 +33,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridMismatchError, ZeroStateError
-from .fields import (FREQUENCY, SpectralField, _by_planes, _consumable, l2_inner, l2_norm,
-                     require_transverse, to_frequency, to_position)
+from .fields import (FREQUENCY, SpectralField, _by_planes, _consumable, _max_abs, l2_inner,
+                     l2_norm, require_transverse, to_frequency, to_position)
 from .operators import (_same_domain, apply_frequency_power, curl, helicity_apply,
                         omega, omega_power, zero_mode_guard)
 from .units import NATURAL, UnitsConfig
@@ -44,9 +44,9 @@ REAL_TOL = 1e-12
 
 def _check_physical_field(field: SpectralField, name: str, require_real: bool = True):
     pos = to_position(field)
-    peak = float(np.max(np.abs(pos.data)))
+    peak = _max_abs(pos.data)
     if require_real and peak > 0.0:
-        im = float(np.max(np.abs(pos.data.imag)))
+        im = _max_abs(pos.data.imag)
         if im > REAL_TOL * peak:
             raise ValueError(f"{name} must be a real field (max |Im| = {im:.3e})")
     require_transverse(field, f"{name} must be divergence-free")

@@ -66,7 +66,7 @@ def _rel_pairs():
     """(a, b) pairs of one shape: 1d and 3d, real and complex, one block
     and several, the last block short."""
     rng = np.random.default_rng(5)
-    for shape in [(64,), (3, 32, 32, 32), (checks.REDUCE_BLOCK * 2 + 7,)]:
+    for shape in [(64,), (3, 32, 32, 32), (fields._BLOCK_SAMPLES * 2 + 7,)]:
         b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         yield b + 1e-9 * rng.standard_normal(shape), b
     yield rng.standard_normal(100_000), rng.standard_normal(100_000)
@@ -86,10 +86,10 @@ def test_the_blocked_reductions_read_fields(rng):
     assert checks._rel(a, b) == float(np.max(np.abs(a.data - b.data))) / checks._peak(b)
 
 
-@pytest.mark.parametrize("where", [0, checks.REDUCE_BLOCK + 3, -1],
+@pytest.mark.parametrize("where", [0, fields._BLOCK_SAMPLES + 3, -1],
                          ids=["first-block", "middle-block", "last-sample"])
 def test_a_nan_anywhere_makes_the_blocked_reductions_nan(where):
-    b = np.ones(3 * checks.REDUCE_BLOCK, dtype=complex)
+    b = np.ones(3 * fields._BLOCK_SAMPLES, dtype=complex)
     a = b.copy()
     a[where] = np.nan
     assert np.isnan(checks._rel(a, b))

@@ -25,6 +25,7 @@ import pytest
 
 from photonloc import (FREQUENCY, BBState, Grid, LPState, SpectralField, checks,
                        cli, fields, helicity_vanishing_scan, operators)
+from photonloc import energy as energy_module
 from photonloc import states as state_module
 from photonloc.errors import TransversalityError
 from photonloc.energy import energy_density
@@ -109,6 +110,18 @@ def test_kept_zero_mode_fails_two_path(monkeypatch):
           lambda original: fields.to_frequency, source=fields)
     two_path, _ = energy_suites()
     assert "figure-states-discrepancy" in failed(two_path)
+
+
+def test_a_zero_bb_path_fails_two_path(monkeypatch):
+    """energy_density's BB field of an LP state as zeros (same grid, domain
+    and flag), planted in energy only: the LP path is then compared with an
+    identically zero reference, and that deviation is absolute, not 0."""
+    def _bb_field(psi_hat, units, domain):
+        f = state_module._bb_field(psi_hat, units, domain)
+        return fields._trusted(f.grid, np.zeros_like(f.data), f.domain, f.transverse)
+    monkeypatch.setattr(energy_module, "_bb_field", _bb_field)
+    two_path = checks.suite_two_path(small_figset(), GRID1, GRID3)
+    assert failed(two_path) == {"figure-states-discrepancy", "random-states-discrepancy"}
 
 
 def test_omega_power_one_at_zero_mode_fails_energy_suites(monkeypatch):
