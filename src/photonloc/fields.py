@@ -56,7 +56,10 @@ one, and 1d work runs whole on the caller.  The helper runs numpy calls only.
 
 Every max |a - b| the package compares is reduced here, per run of
 _BLOCK_SAMPLES samples on the caller (_max_abs, _peak, _rel); _rel(a, b) is
-max |a - b| over max |b|, or absolute where b is identically zero.  Only
+max |a - b| over max |b|, or absolute where b is identically zero.
+_contract(values, rows), the weighted sums of values over one row per axis
+for every choice of rows, also runs on the caller: each line is summed
+whole by np.sum, so a line's float does not depend on the blocks.  Only
 _consumable(field, *held) marks a buffer a chain made as spendable, unless
 an array ``held``, which the chain still reads, may share it.
 """
@@ -310,6 +313,23 @@ def _blocks(lo: int, hi: int, planes: int):
     """The runs [start, stop) of ``planes`` planes (or samples) each, the
     last possibly shorter, that tile [lo, hi)."""
     return ((start, min(start + planes, hi)) for start in range(lo, hi, planes))
+
+
+def _contract(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """S[k0, .., kd] = sum of values[a0, .., ad] * rows[k0, a0] * .. * rows[kd, ad]
+    over the samples, for every choice of rows: the last axis is contracted
+    with each row by np.sum of the row products, _BLOCK_SAMPLES values at a
+    time, then the result, with the rows' index first, likewise, once per
+    axis.  With one axis S[k] is np.sum(rows[k] * values), bit for bit."""
+    t = values
+    for _ in range(values.ndim):
+        n = t.shape[-1]
+        lines, sums = t.reshape(-1, n), np.empty((len(rows), t.size // n))
+        for lo, hi in _blocks(0, len(lines), max(1, _BLOCK_SAMPLES // n)):
+            for row, out in zip(rows, sums):
+                np.sum(lines[lo:hi] * row, axis=-1, out=out[lo:hi])
+        t = sums.reshape((len(rows),) + t.shape[:-1])
+    return t
 
 
 def _data(v) -> np.ndarray:

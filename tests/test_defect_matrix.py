@@ -1,7 +1,8 @@
 """The defect matrix of the physics core: plants and the rows that catch them.
 
 Each plant replaces one target only in the module that uses it, as in
-tests/test_seeded_defects.py, and runs every suite at grid_n = 256.  A
+tests/test_seeded_defects.py (a method on its class), and runs every suite
+at grid_n = 256.  A
 plant that no row catches is a known gap: it is listed in KNOWN_GAPS, and
 its test asserts that every suite still passes, so the gap stays visible
 until a row closes it.
@@ -10,6 +11,7 @@ until a row closes it.
 import pytest
 
 from photonloc import checks
+from photonloc import energy as energy_module
 from photonloc import states as state_module
 
 
@@ -26,11 +28,34 @@ def raised_support_threshold(original):
     return lambda obj, threshold: original(obj, 100.0 * threshold)
 
 
+def half_cell_shift(original):
+    """Every sample's dx-wide cell moved by half a cell along each axis."""
+    return lambda x, lo, hi, dx: original(x + 0.5 * dx, lo, hi, dx)
+
+
+def raised_floor(original):
+    return lambda peak: 1e6 * original(peak)
+
+
+def touching_meets(original):
+    """A cell that only touches the source counts as meeting it."""
+    def meets(volume, cell):
+        if volume.kind == "ball":
+            gaps = (max(l - c, c - h, 0.0) for l, h, c in zip(cell.lo, cell.hi, volume.center))
+            return sum(d * d for d in gaps) <= volume.radius ** 2
+        return all(h >= vl and l <= vh
+                   for l, h, vl, vh in zip(cell.lo, cell.hi, volume.lo, volume.hi))
+    return meets
+
+
 # (id, module planted, name planted, mutation of the original)
 KNOWN_GAPS = (
     ("omega-times-1.01", state_module, "omega", scaled_omega),
     ("omega-negated", state_module, "omega", negated_omega),
     ("support-threshold-times-100", checks, "support_estimate", raised_support_threshold),
+    ("cell-overlaps-half-cell-shift", energy_module, "_overlaps", half_cell_shift),
+    ("knight-floor-times-1e6", energy_module, "_default_floor", raised_floor),
+    ("knight-touching-cells-meet", energy_module.DetectorVolume, "meets", touching_meets),
 )
 
 

@@ -6,7 +6,9 @@ below n/2 and the caller the rest.  With the split forced on a 16**3 grid
 (two usable CPUs and a split threshold of 1, as ``_split_every_pass`` sets
 them), each kernel must give the bytes the caller alone gives, and the
 helper must run numpy only: every function the benchmark's tracer wraps
-runs on the calling thread, since the tracer keeps one span stack.
+runs on the calling thread, since the tracer keeps one span stack.  The
+Knight reports, whose cell energies come from contractions on the caller,
+are compared too.
 """
 
 import hashlib
@@ -68,6 +70,10 @@ def _outputs(rng) -> dict:
         out[f"energy_density[{i}]"] = emap.values
         out[f"two_path_discrepancy[{i}]"] = np.float64(emap.two_path_discrepancy)
         out[f"detector_energy[{i}]"] = np.array([detector_energy(emap, v) for v in boxes])
+        for j, source in enumerate(boxes):
+            report = knight_locality_test(emap, source, probe_cells=64)
+            out[f"knight[{i}][{j}]"] = np.array([report.detector_energy, report.floor,
+                                                 report.n_cells, *report.detector.lo])
     return {name: np.asarray(value).tobytes() for name, value in out.items()}
 
 
@@ -142,6 +148,7 @@ def test_every_traced_layer_runs_on_the_calling_thread(started, monkeypatch):
     state = _state_3d("lp")
     emap = pl.energy_density(state)
     pl.knight_locality_test(emap, DetectorVolume.box((-1.0,) * 3, (1.0,) * 3))
+    pl.detector_energy(emap, DetectorVolume.ball((0.5, 0.0, 0.0), 2.0))
     part = pl.helicity_project(pl.strip_zero_mode(state.field), 1)
     pl.helicity_vanishing_scan(to_position(part), 5.0)    # unclaimed: the scan applies L
     pl.transverse_project(state.field)
