@@ -223,8 +223,13 @@ def volume_weights(volume: DetectorVolume, grid: Grid) -> np.ndarray:
 
 
 def _overlaps(x, lo, hi, dx: float) -> np.ndarray:
-    """Fraction of the dx-wide cell centered on each sample x that [lo, hi] covers."""
-    return np.clip((np.minimum(hi, x + 0.5 * dx) - np.maximum(lo, x - 0.5 * dx)) / dx, 0.0, 1.0)
+    """Fraction of the dx-wide cell centered on each sample x that [lo, hi]
+    (bounds of one shape) covers, formed in place: a matrix of Knight's probe
+    cells costs two arrays of its shape."""
+    top = np.minimum(hi, x + 0.5 * dx)
+    top -= np.maximum(lo, x - 0.5 * dx)
+    top /= dx
+    return np.clip(top, 0.0, 1.0, out=top)
 
 
 def detector_energy(emap: EnergyDensityMap, volume: DetectorVolume) -> float:

@@ -54,14 +54,20 @@ weight.  The rule for a kernel (_by_planes):
 With one usable CPU, or n below _SPLIT_MIN_N, the caller runs the halves as
 one, and 1d work runs whole on the caller.  The helper runs numpy calls only.
 
-Every max |a - b| the package compares is reduced here, per run of
-_BLOCK_SAMPLES samples on the caller (_max_abs, _peak, _rel); _rel(a, b) is
-max |a - b| over max |b|, or absolute where b is identically zero.
-_contract(values, rows), the weighted sums of values over one row per axis
-for every choice of rows, also runs on the caller: each line is summed
-whole by np.sum, so a line's float does not depend on the blocks.  Only
-_consumable(field, *held) marks a buffer a chain made as spendable, unless
-an array ``held``, which the chain still reads, may share it.
+Every max |a - b| the package compares is reduced here (_max_abs, _peak,
+_rel, all through _maxima), in one sweep that reads each array once and
+copies no .real or .imag view: complex field data or a complex spatial
+array of a 3d grid by blocks of x-planes on both cores, a real array or any
+other per run of _BLOCK_SAMPLES samples on the caller.  _rel(a, b) is max
+|a - b| over max |b|, both from that one sweep, or absolute where b is
+identically zero.  The integrands of l2_norm, l2_inner and the BB norm and
+inner product are formed on both cores into one array the caller allocates
+(_integrand) and then summed whole on the caller.  _contract(values, rows),
+the weighted sums of values over one row per axis for every choice of rows,
+runs on the caller: each line is summed whole by np.sum, so a line's float
+does not depend on the blocks.  Only _consumable(field, *held) marks a
+buffer a chain made as spendable, unless an array ``held``, which the chain
+still reads, may share it.
 """
 
 from __future__ import annotations
@@ -141,26 +147,39 @@ class SpectralField:
         if self.domain != other.domain:
             raise DomainError(f"cannot combine {self.domain} field with {other.domain} field")
 
+    def _map(self, formula, transverse: bool) -> "SpectralField":
+        """formula(part, out) over every share ``part`` of the data, writing
+        the share ``out`` of one fresh array, swept by _by_planes."""
+        out = np.empty(self.data.shape, np.complex128)
+        _by_planes(self.grid, lambda part: formula(part, part(out)))
+        return _trusted(self.grid, out, self.domain, transverse)
+
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._check_compatible(other)
-        return _trusted(self.grid, self.data + other.data, self.domain,
-                        self.transverse and other.transverse)
+        return self._map(lambda part, out: np.add(part(self.data), part(other.data), out=out),
+                         self.transverse and other.transverse)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         self._check_compatible(other)
-        return _trusted(self.grid, self.data - other.data, self.domain,
-                        self.transverse and other.transverse)
+        return self._map(lambda part, out: np.subtract(part(self.data), part(other.data),
+                                                       out=out),
+                         self.transverse and other.transverse)
 
     def __mul__(self, scalar) -> "SpectralField":
-        return _trusted(self.grid, self.data * complex(scalar), self.domain, self.transverse)
+        c = complex(scalar)
+        return self._map(lambda part, out: np.multiply(part(self.data), c, out=out),
+                         self.transverse)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "SpectralField":
-        return _trusted(self.grid, self.data / complex(scalar), self.domain, self.transverse)
+        c = complex(scalar)
+        return self._map(lambda part, out: np.divide(part(self.data), c, out=out),
+                         self.transverse)
 
     def __neg__(self) -> "SpectralField":
-        return _trusted(self.grid, -self.data, self.domain, self.transverse)
+        return self._map(lambda part, out: np.negative(part(self.data), out=out),
+                         self.transverse)
 
 
 def magnitude(field: SpectralField) -> np.ndarray:
@@ -336,14 +355,49 @@ def _data(v) -> np.ndarray:
     return v.data if isinstance(v, SpectralField) else np.asarray(v)
 
 
+def _maxima(a: np.ndarray, b: np.ndarray = None, peak: bool = False) -> tuple:
+    """(max |a - b|, max |b|) over every sample of two arrays of one shape,
+    max |a| in place of the first without b, and the second only if ``peak``,
+    in one sweep that reads each array once.  Complex field data or a complex
+    spatial array of a grid (three or four axes, the last three of one
+    length n) is swept by x-planes on both cores, one component of a block
+    at a time through real and complex block buffers.  Any other array runs
+    _BLOCK_SAMPLES samples at a time on the caller: a real block's abs is
+    too cheap to repay the threads' hand-offs of the interpreter lock, and
+    split, a 128**3 real _rel took nearly twice its time on the caller.
+    The .real and .imag views of a contiguous array are read in place.  A
+    maximum is kept per block and component, which is exact, and a NaN
+    anywhere gives NaN."""
+    arrays = (a,) if b is None else (a, b)
+    dtype = np.result_type(*arrays)
+    scratch = (np.float64,) + (() if b is None else (dtype,))
+
+    def kernel(shares, rows, mag, *diff):
+        for c, v in enumerate(zip(*(x.reshape((-1,) + mag.shape) for x in shares))):
+            d = v[0] if b is None else np.subtract(v[0], v[1], out=diff[0])
+            rows[..., c, 0] = np.maximum.reduce(np.abs(d, out=mag), axis=None)
+            if peak:
+                rows[..., c, 1] = np.maximum.reduce(np.abs(v[1], out=mag), axis=None)
+
+    if dtype.kind == "c" and a.ndim in (3, 4) and len(set(a.shape[-3:])) == 1:
+        n = a.shape[-1]
+        found = np.empty((n, a.size // n ** 3, 2))
+        _x_planes(n, lambda part, *bufs: kernel(map(part, arrays), part(found), *bufs),
+                  *scratch)
+    else:
+        flat = [x.reshape(-1) for x in arrays]
+        blocks = list(_blocks(0, a.size, _BLOCK_SAMPLES))
+        found = np.empty((len(blocks), 1, 2))
+        bufs = [np.empty(min(a.size, _BLOCK_SAMPLES), t) for t in scratch]
+        for (lo, hi), rows in zip(blocks, found):
+            kernel([x[lo:hi] for x in flat], rows, *(buf[:hi - lo] for buf in bufs))
+    return float(np.max(found[..., 0])), float(np.max(found[..., 1])) if peak else None
+
+
 def _max_abs(a: np.ndarray, b: np.ndarray = None) -> float:
     """max |a - b| (max |a| without b) over every sample of two arrays of one
-    shape, reduced _BLOCK_SAMPLES samples at a time; a NaN anywhere gives NaN."""
-    a = a.reshape(-1)
-    b = None if b is None else b.reshape(-1)
-    maxima = [np.max(np.abs(a[lo:hi] if b is None else a[lo:hi] - b[lo:hi]))
-              for lo, hi in _blocks(0, a.size, _BLOCK_SAMPLES)]
-    return float(np.max(maxima))
+    shape; a NaN anywhere gives NaN."""
+    return _maxima(a, b)[0]
 
 
 def _peak(b) -> float:
@@ -353,11 +407,11 @@ def _peak(b) -> float:
 
 def _rel(a, b, peak=None) -> float:
     """max |a - b| relative to the peak of b (arrays or fields of one
-    shape), or absolute where that peak is 0.  A caller that compares
-    several fields with one b measures ``peak = _peak(b)`` once and passes it."""
-    db = _data(b)
-    scale = _max_abs(db) if peak is None else peak
-    diff = _max_abs(_data(a), db)
+    shape), or absolute where that peak is 0; both maxima come from one
+    sweep.  A caller that compares several fields with one b measures
+    ``peak = _peak(b)`` once and passes it."""
+    diff, scale = _maxima(_data(a), _data(b), peak is None)
+    scale = scale if peak is None else peak
     return diff / scale if scale > 0.0 else diff
 
 
@@ -365,15 +419,20 @@ def _by_planes(grid: Grid, kernel, *scratch):
     """Run kernel(part, *bufs), where part(a) is the share of a field-data or
     spatial array a and bufs are block buffers of the dtypes ``scratch``,
     each of the share's spatial shape.  On a 3d grid a share is a block of
-    x-planes [lo, hi) of a half (an array of one x-plane broadcasts along x
-    and is passed whole, and one with a value per x-plane gives its
-    [lo, hi)); a kernel that takes no block buffer keeps nothing in cache
-    from one ufunc to the next, so its share is the whole half.  On a 1d
-    grid the share is a itself, in one call on the caller."""
+    x-planes [lo, hi) of a half (_x_planes).  On a 1d grid the share is a
+    itself, in one call on the caller."""
     if grid.dim == 1:
         kernel(lambda a: a, *(np.empty(grid.spatial_shape, t) for t in scratch))
-        return
-    n = grid.n
+    else:
+        _x_planes(grid.n, kernel, *scratch)
+
+
+def _x_planes(n: int, kernel, *scratch):
+    """_by_planes on an n**3 grid: a share is a block of x-planes [lo, hi)
+    of a half (an array of one x-plane broadcasts along x and is passed
+    whole, and one with a value per x-plane gives its [lo, hi)); a kernel
+    that takes no block buffer keeps nothing in cache from one ufunc to the
+    next, so its share is the whole half."""
     planes = _planes(n) if scratch else n
 
     def half(lo, hi, *bufs):
@@ -464,10 +523,22 @@ def to_position(field: SpectralField) -> SpectralField:
     return field if field.is_position else inverse_transform(field)
 
 
+def _integrand(grid: Grid, dtype, formula, *arrays) -> np.ndarray:
+    """formula(out, *shares) over every share of the field-data or spatial
+    ``arrays``, into the share ``out`` of one fresh array of the first's
+    shape and ``dtype``, swept by _by_planes.  The caller sums the array
+    whole, so the sum's float does not depend on the split."""
+    out = np.empty(arrays[0].shape, dtype)
+    _by_planes(grid, lambda part: formula(part(out), *map(part, arrays)))
+    return out
+
+
 def l2_norm(field: SpectralField) -> float:
     """Continuum L2 norm, sum over components included."""
     w = field.grid.cell_volume if field.is_position else field.grid.k_cell_volume
-    return float(np.sqrt(w * np.sum(np.abs(field.data) ** 2)))
+    square = _integrand(field.grid, np.float64,
+                        lambda out, v: np.square(np.abs(v, out=out), out=out), field.data)
+    return float(np.sqrt(w * np.sum(square)))
 
 
 def l2_inner(a: SpectralField, b: SpectralField) -> complex:
@@ -477,4 +548,7 @@ def l2_inner(a: SpectralField, b: SpectralField) -> complex:
     if a.domain != b.domain:
         raise DomainError("inner product requires fields in the same domain")
     w = a.grid.cell_volume if a.is_position else a.grid.k_cell_volume
-    return complex(w * np.sum(np.conj(a.data) * b.data))
+    products = _integrand(a.grid, np.complex128,
+                          lambda out, u, v: np.multiply(np.conj(u, out=out), v, out=out),
+                          a.data, b.data)
+    return complex(w * np.sum(products))

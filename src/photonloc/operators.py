@@ -285,12 +285,18 @@ def plane_wave(grid: Grid, mode_index, sigma: int = None) -> SpectralField:
         return SpectralField(grid, data, POSITION)
     if sigma not in (1, -1):
         raise ValueError(f"sigma must be +1 or -1, got {sigma}")
-    kx, ky, kz = kvec
     eps = _polarization(*kvec[:, None])[:, 0]  # 1-element arrays: the table's ufunc loops
     eps = eps if sigma == 1 else np.conj(eps)
-    x, y, z = grid.position_mesh()
-    phase = np.exp(1j * (kx * x + ky * y + kz * z))
-    data = (2.0 * np.pi) ** -1.5 * eps[:, None, None, None] * phase[None, :, :, :]
+    coef = ((2.0 * np.pi) ** -1.5 * eps)[:, None, None, None]
+    kx, ky, kz = (k * x for k, x in zip(kvec, grid.position_mesh()))
+    data = np.empty(grid.field_shape, np.complex128)
+
+    def kernel(part, angle, phase):     # coef e^(i ((kx x + ky y) + kz z)), per block
+        np.add(np.add(part(kx), ky, out=angle), kz, out=angle)
+        np.exp(np.multiply(1j, angle, out=phase), out=phase)
+        np.multiply(coef, phase, out=part(data))
+
+    _by_planes(grid, kernel, np.float64, np.complex128)
     return _trusted(grid, data, POSITION, True)
 
 
@@ -330,8 +336,15 @@ def momentum_amplitudes(field: SpectralField) -> MomentumAmplitudes:
         return MomentumAmplitudes(g, f.data * (sign > 0), f.data * (sign < 0))
     require_transverse(f, "momentum amplitudes require a divergence-free field")
     table = g.polarization_table
-    zp = np.sum(np.conj(table[0]) * f.data, axis=0)
-    zm = np.sum(np.conj(table[1]) * f.data, axis=0)
+    zp, zm = (np.zeros(g.spatial_shape, np.complex128) for _ in range(2))
+
+    def kernel(part, tmp):      # ((0 + eps0* v0) + eps1* v1) + eps2* v2, np.sum's order
+        v = part(f.data)
+        for eps, z in ((part(table[0]), part(zp)), (part(table[1]), part(zm))):
+            for ei, vi in zip(eps, v):
+                np.add(z, np.multiply(np.conj(ei, out=tmp), vi, out=tmp), out=z)
+
+    _by_planes(g, kernel, np.complex128)
     return MomentumAmplitudes(g, zp, zm)
 
 
@@ -343,5 +356,12 @@ def synthesize_from_amplitudes(amps: MomentumAmplitudes) -> SpectralField:
         data = amps.plus * (sign > 0) + amps.minus * (sign < 0)
         return to_position(SpectralField(g, data, FREQUENCY))
     table = g.polarization_table
-    data = table[0] * amps.plus[None] + table[1] * amps.minus[None]
-    return to_position(_trusted(g, data, FREQUENCY, True))
+    data = np.empty(g.field_shape, np.complex128)
+
+    def kernel(part, tmp):              # eps_plus z_plus + eps_minus z_minus per block
+        plus, minus = part(amps.plus), part(amps.minus)
+        for out, e0, e1 in zip(part(data), part(table[0]), part(table[1])):
+            np.add(np.multiply(e0, plus, out=out), np.multiply(e1, minus, out=tmp), out=out)
+
+    _by_planes(g, kernel, np.complex128)
+    return to_position(_consumable(_trusted(g, data, FREQUENCY, True)))

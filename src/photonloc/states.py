@@ -33,8 +33,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridMismatchError, ZeroStateError
-from .fields import (FREQUENCY, SpectralField, _by_planes, _consumable, _max_abs, l2_inner,
-                     l2_norm, require_transverse, to_frequency, to_position)
+from .fields import (FREQUENCY, SpectralField, _by_planes, _consumable, _integrand, _into,
+                     _max_abs, l2_inner, l2_norm, require_transverse, to_frequency,
+                     to_position)
 from .operators import (_same_domain, apply_frequency_power, curl, helicity_apply,
                         omega, omega_power, zero_mode_guard)
 from .units import NATURAL, UnitsConfig
@@ -164,7 +165,11 @@ class BBState(PhotonState):
     def _norm(self) -> float:
         ff = to_frequency(self.field)
         weight = omega_power(ff.grid, -1.0, self.units)
-        norm_sq = float(ff.grid.k_cell_volume * np.sum(np.abs(ff.data) ** 2 * weight))
+        terms = _integrand(ff.grid, np.float64,
+                           lambda out, v, w: np.multiply(np.square(np.abs(v, out=out), out=out),
+                                                         w, out=out),
+                           ff.data, weight)
+        norm_sq = float(ff.grid.k_cell_volume * np.sum(terms))
         return float(np.sqrt(max(norm_sq, 0.0)))
 
 
@@ -257,7 +262,11 @@ def bb_inner(a: BBState, b: BBState, zero_mode: str = "raise") -> complex:
                     "BB inner product requires zero-mean fields "
                     "(use zero_mode='drop' to exclude the mode)")
     weight = omega_power(a.grid, -1.0, a.units)
-    return complex(a.grid.k_cell_volume * np.sum(np.conj(fa.data) * fb.data * weight))
+    terms = _integrand(a.grid, np.complex128,
+                       lambda out, u, v, w: np.multiply(np.multiply(np.conj(u, out=out), v,
+                                                                    out=out), w, out=out),
+                       fa.data, fb.data, weight)
+    return complex(a.grid.k_cell_volume * np.sum(terms))
 
 
 def normalize(state):
@@ -269,8 +278,16 @@ def normalize(state):
 
 
 def evolve(state, t: float):
-    """Free evolution by the diagonal phase exp(-i w(k) t)."""
+    """Free evolution by the diagonal phase exp(-i w(k) t), formed per block
+    in a block buffer; the result is written over a frequency image made
+    here, or into a fresh array."""
     ff = to_frequency(state.field)
-    phase = np.exp(-1j * omega(ff.grid, state.units) * float(t))
-    return type(state)(_same_domain(state.field, ff.data * phase, ff.transverse),
-                       state.units)
+    w, t = omega(ff.grid, state.units), float(t)
+    out = _into(_consumable(ff, state.field.data))
+
+    def kernel(part, phase):
+        np.exp(np.multiply(np.multiply(-1j, part(w), out=phase), t, out=phase), out=phase)
+        np.multiply(part(ff.data), phase, out=part(out))
+
+    _by_planes(ff.grid, kernel, np.complex128)
+    return type(state)(_same_domain(state.field, out, ff.transverse), state.units)

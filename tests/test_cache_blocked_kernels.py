@@ -12,14 +12,17 @@ bounds each blocked kernel's peak over its output at 64**3, so that a
 field-sized temporary that slips back fails here.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
 from photonloc import (FREQUENCY, POSITION, BBState, DetectorVolume, Grid, LPState,
-                       SpectralField, apply_frequency_power, curl, detector_energy,
-                       energy_density, fields, helicity_apply,
-                       helicity_parts, helicity_project, magnitude, operators,
-                       strip_zero_mode, to_frequency, transversality_residual,
+                       SpectralField, apply_frequency_power, bb_inner, curl,
+                       detector_energy, energy_density, evolve, fields, helicity_apply,
+                       helicity_parts, helicity_project, l2_inner, l2_norm, magnitude,
+                       momentum_amplitudes, operators, plane_wave, strip_zero_mode,
+                       synthesize_from_amplitudes, to_frequency, transversality_residual,
                        transverse_project, volume_weights)
 from photonloc.fields import _consumable, _trusted, forward_transform, inverse_transform
 from photonloc.units import UnitsConfig
@@ -140,6 +143,45 @@ def _cases(g, v):
     yield ("strip_zero_mode(frequency)", lambda: strip_zero_mode(field).data, lambda: stripped)
     yield ("strip_zero_mode(position)", lambda: strip_zero_mode(pos).data,
            lambda: _position_stripped(g, v))
+    yield from _moved_cases(g, v, lv)
+
+
+def _moved_cases(g, v, lv):
+    """The passes that moved onto both cores for verify, against the
+    one-core formulas they replaced; evolve and the BB products need a
+    state, which special values cannot make, and are compared two CPUs
+    against one in test_split_kernels."""
+    field, other = SpectralField(g, v, FREQUENCY), SpectralField(g, lv, FREQUENCY)
+    claimed = _trusted(g, v, FREQUENCY, True)
+    table, c = g.polarization_table, 0.3 - 1.7j
+    for name, a, b in (("field", v, lv), ("spatial", v[0], lv[1]), ("imag", v.imag, lv.imag)):
+        yield (f"_max_abs({name})", lambda a=a, b=b: np.float64(fields._max_abs(a, b)),
+               lambda a=a, b=b: np.float64(np.max(np.abs(a - b))))
+        yield (f"_rel({name})", lambda a=a, b=b: np.float64(fields._rel(a, b)),
+               lambda a=a, b=b: np.float64(np.max(np.abs(a - b)) / np.max(np.abs(b))))
+    yield ("l2_norm", lambda: np.float64(l2_norm(field)),
+           lambda: np.float64(np.sqrt(g.k_cell_volume * np.sum(np.abs(v) ** 2))))
+    yield ("l2_inner", lambda: np.complex128(l2_inner(field, other)),
+           lambda: np.complex128(g.k_cell_volume * np.sum(np.conj(v) * lv)))
+    yield "+", lambda: (field + other).data, lambda: v + lv
+    yield "-", lambda: (field - other).data, lambda: v - lv
+    yield "*", lambda: (c * field).data, lambda: v * c
+    yield "/", lambda: (field / c).data, lambda: v / c
+    yield "neg", lambda: (-field).data, lambda: -v
+    amps = [np.sum(np.conj(table[i]) * v, axis=0) for i in (0, 1)]
+    yield ("momentum_amplitudes",
+           lambda: np.stack([(a := momentum_amplitudes(claimed)).plus, a.minus]),
+           lambda: np.stack(amps))
+    yield ("synthesize_from_amplitudes",
+           lambda: synthesize_from_amplitudes(operators.MomentumAmplitudes(g, *amps)).data,
+           lambda: _inverse(g, table[0] * amps[0][None] + table[1] * amps[1][None]))
+    mode = (1, 2, -3)
+    kx, ky, kz = g.k_axis[list(mode)]
+    x, y, z = g.position_mesh()
+    eps = np.conj(table[0][(slice(None),) + mode])
+    yield ("plane_wave", lambda: plane_wave(g, mode, -1).data,
+           lambda: (2.0 * np.pi) ** -1.5 * eps[:, None, None, None]
+           * np.exp(1j * (kx * x + ky * y + kz * z))[None])
 
 
 def _position_stripped(g, v):
@@ -184,6 +226,32 @@ def test_consumed_kernels_give_the_bytes_of_the_fresh_ones(monkeypatch, n, plane
             consumed = [p.data for p in call(own)]
             assert [p.tobytes() for p in consumed] == fresh, (name, domain)
             assert any(p is own.data for p in consumed), (name, domain)
+
+
+@pytest.mark.parametrize("n, planes", BLOCKINGS)
+def test_state_kernels_give_the_bytes_of_the_whole_array_formulas(monkeypatch, n, planes):
+    # evolve and the BB norm and inner product, on finite data with signed
+    # zeros: a state cannot hold the special values of _cases.
+    g = Grid(3, 8.0, n)
+    rng = np.random.default_rng(3 * n + planes)
+    v, u = (_with_signed_zeros(_random_field_data(g, rng)) for _ in range(2))
+    inv_w, phase = _omega_power(g, -1.0, UNITS), np.exp(-1j * (UNITS.c * g.k_magnitude) * 0.37)
+    expected = {
+        "evolve": v * phase,
+        "evolve(position)": _inverse(g, _forward(g, v) * phase),
+        "BBState.norm": np.float64(np.sqrt(max(float(
+            g.k_cell_volume * np.sum(np.abs(v) ** 2 * inv_w)), 0.0))),
+        "bb_inner": np.complex128(g.k_cell_volume * np.sum(np.conj(v) * u * inv_w)),
+    }
+    _blocked(monkeypatch, n, planes)
+    state, other = (BBState(_trusted(g, d, FREQUENCY, True), UNITS) for d in (v, u))
+    got = {
+        "evolve": evolve(state, 0.37).field.data,
+        "evolve(position)": evolve(BBState(_trusted(g, v, POSITION, True), UNITS), 0.37).field.data,
+        "BBState.norm": np.float64(state.norm),
+        "bb_inner": np.complex128(bb_inner(state, other, zero_mode="drop")),
+    }
+    assert [k for k in expected if got[k].tobytes() != expected[k].tobytes()] == []
 
 
 def _energy_states():
@@ -263,7 +331,41 @@ GUARDS = [
     ("inverse_transform", lambda f: inverse_transform(f), 0.1),
     ("forward_transform", lambda f: forward_transform(f), 0.1),
     ("strip_zero_mode(position)", lambda f: strip_zero_mode(f), 0.1),
+    # The bounds below hold each kernel at or under the peak of the one-core
+    # formula it replaced, given in brackets, except for the thread's and
+    # the sweep's bookkeeping (under 0.001) and for the complex maxima:
+    # there each half holds a complex and a real block buffer (0.064) where
+    # the one-core sweep held one block's pair (0.031), and halving the
+    # blocks to match doubled the two-core time (CHANGES.md).
+    ("_max_abs(a, b)", lambda f: fields._max_abs(f.data, f.data), 0.07),     # [0.031]
+    ("_rel", lambda f: fields._rel(f, f), 0.07),                             # [0.031]
+    ("_max_abs(a.imag)", lambda f: fields._max_abs(f.data.imag), 0.015),     # [0.011]
+    # One integrand, summed whole (0.5 real, 1 complex), and for the BB
+    # products and evolve the real n**3 array of w**-1 or w (1/6).
+    ("l2_norm", lambda f: l2_norm(f), 0.51),                                 # [0.50]
+    ("l2_inner", lambda f: l2_inner(f, f), 1.01),                            # [1.00]
+    ("BBState.norm", lambda f: BBState(f).norm, 0.7),                        # [1.17]
+    ("bb_inner", lambda f: bb_inner(BBState(f), BBState(f), zero_mode="drop"), 1.25),  # [2.18]
+    ("evolve", lambda f: evolve(BBState(f), 0.37).field, 0.3),               # [0.34]
+    ("evolve(position)", lambda f: evolve(BBState(f), 0.37).field, 0.3),     # [1.38]
+    ("+", lambda f: f + f, 0.01),                                            # [0]
+    ("-", lambda f: f - f, 0.01),                                            # [0]
+    ("*", lambda f: 2j * f, 0.01),                                           # [0]
+    ("/", lambda f: f / 2j, 0.01),                                           # [0]
+    ("neg", lambda f: -f, 0.01),                                             # [0]
+    # The two amplitude arrays (2/3) count here.
+    ("momentum_amplitudes", lambda f: momentum_amplitudes(f), 0.75),         # [1.67]
+    ("synthesize_from_amplitudes",                                           # [1.04]
+     lambda f: synthesize_from_amplitudes(_amplitudes(f)), 0.1),
+    ("plane_wave", lambda f: plane_wave(f.grid, (1, 2, -3), 1), 0.1),        # [0.33]
 ]
+POSITION_INPUT = ("forward_transform", "strip_zero_mode(position)", "evolve(position)")
+
+
+@functools.cache
+def _amplitudes(field):
+    """The momentum amplitudes of a field, made once, outside the peak."""
+    return momentum_amplitudes(field)
 
 
 @pytest.mark.parametrize("name, call, bound", GUARDS, ids=[g[0] for g in GUARDS])
@@ -271,7 +373,7 @@ def test_blocked_kernels_at_64_cubed_allocate_no_field_sized_temporary(
         monkeypatch, field64, name, call, bound):
     _split_every_pass(monkeypatch)          # both halves' block buffers
     f = field64
-    if name in ("forward_transform", "strip_zero_mode(position)"):
+    if name in POSITION_INPUT:
         f = inverse_transform(field64)
     peak, out = _peak_over_output(lambda: call(f))
     assert peak - out <= bound * field64.data.nbytes

@@ -64,16 +64,30 @@ def test_a_scalar_row_is_unchanged():
 
 def _rel_pairs():
     """(a, b) pairs of one shape: 1d and 3d, real and complex, one block
-    and several, the last block short."""
+    and several, the last block short, and at 64**3 complex field data and
+    a complex spatial array, whose x-plane halves the split sweeps, and a
+    real spatial array and strided .imag views, which the caller sweeps."""
     rng = np.random.default_rng(5)
-    for shape in [(64,), (3, 32, 32, 32), (fields._BLOCK_SAMPLES * 2 + 7,)]:
+    for shape in [(64,), (3, 32, 32, 32), (fields._BLOCK_SAMPLES * 2 + 7,), (3, 64, 64, 64),
+                  (64, 64, 64)]:
         b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         yield b + 1e-9 * rng.standard_normal(shape), b
     yield rng.standard_normal(100_000), rng.standard_normal(100_000)
+    yield rng.standard_normal((64,) * 3), rng.standard_normal((64,) * 3)
+    a, b = (rng.standard_normal((3, 64, 64, 64)) + 1j * rng.standard_normal((3, 64, 64, 64))
+            for _ in range(2))
+    yield a.imag, b.imag
+
+
+def _split_forced(monkeypatch):
+    """Two usable CPUs split every sweep, however short."""
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(fields, "_SPLIT_MIN_N", 1)
 
 
 @pytest.mark.parametrize("a, b", list(_rel_pairs()))
-def test_the_blocked_reductions_return_the_whole_array_floats(a, b):
+def test_the_blocked_reductions_return_the_whole_array_floats(a, b, monkeypatch):
+    _split_forced(monkeypatch)
     peak = float(np.max(np.abs(b)))
     assert checks._peak(b) == peak
     assert checks._rel(a, b) == float(np.max(np.abs(a - b))) / peak
@@ -86,16 +100,28 @@ def test_the_blocked_reductions_read_fields(rng):
     assert checks._rel(a, b) == float(np.max(np.abs(a.data - b.data))) / checks._peak(b)
 
 
-@pytest.mark.parametrize("where", [0, fields._BLOCK_SAMPLES + 3, -1],
-                         ids=["first-block", "middle-block", "last-sample"])
-def test_a_nan_anywhere_makes_the_blocked_reductions_nan(where):
-    b = np.ones(3 * fields._BLOCK_SAMPLES, dtype=complex)
+FLAT = (3 * fields._BLOCK_SAMPLES,)
+SPLIT = (3, 64, 64, 64)     # the helper sweeps the x-planes below 32, the caller the rest
+
+
+@pytest.mark.parametrize("shape, where", [
+    (FLAT, (0,)), (FLAT, (fields._BLOCK_SAMPLES + 3,)), (FLAT, (-1,)),
+    (SPLIT, (0, 5, 17, 2)), (SPLIT, (2, 31, 63, 63)), (SPLIT, (0, 32, 0, 0)),
+    (SPLIT, (1, 63, 40, 9))],
+    ids=["first-block", "middle-block", "last-sample", "helper-half", "helper-last-sample",
+         "caller-first-sample", "caller-half"])
+def test_a_nan_anywhere_makes_the_blocked_reductions_nan(shape, where, monkeypatch):
+    _split_forced(monkeypatch)
+    b = np.ones(shape, dtype=complex)
     a = b.copy()
     a[where] = np.nan
     assert np.isnan(checks._rel(a, b))
     assert np.isnan(checks._rel(b, a))
     assert np.isnan(checks._peak(a))
+    assert np.isnan(checks._peak(a.real))
     assert not checks._below("r", [checks._rel(a, b)], 1.0).ok
+    a[where] = 3.0                         # the one maximum, wherever it sits
+    assert checks._peak(a) == 3.0 and checks._rel(b, a) == 2.0 / 3.0
 
 
 def test_band_limit_below_nyquist(grid1):

@@ -8,7 +8,8 @@ them), each kernel must give the bytes the caller alone gives, and the
 helper must run numpy only: every function the benchmark's tracer wraps
 runs on the calling thread, since the tracer keeps one span stack.  The
 Knight reports, whose cell energies come from contractions on the caller,
-are compared too.
+are compared too, and so are the max reductions, the inner products and
+norms, evolution, the field arithmetic and the polarization basis.
 """
 
 import hashlib
@@ -24,11 +25,13 @@ import pytest
 
 import photonloc
 from photonloc import (FREQUENCY, BBState, DetectorVolume, Grid, LPState, SpectralField,
-                       apply_frequency_power, curl, detector_energy, energy_density,
-                       fields, helicity_apply, helicity_parts, helicity_project,
-                       helicity_scans, knight_locality_test, magnitude,
-                       make_lp_compact, strip_zero_mode, to_frequency, to_position,
-                       transversality_residual, transverse_project)
+                       apply_frequency_power, bb_inner, curl, detector_energy,
+                       energy_density, evolve, fields, helicity_apply, helicity_parts,
+                       helicity_project, helicity_scans, knight_locality_test, l2_inner,
+                       l2_norm, magnitude, make_lp_compact, momentum_amplitudes,
+                       plane_wave, strip_zero_mode, synthesize_from_amplitudes,
+                       to_frequency, to_position, transversality_residual,
+                       transverse_project)
 
 from test_acceptance import REPORT_SHA256  # noqa: E402
 from test_energy import _mean_carrying_bb_3d  # noqa: E402
@@ -74,7 +77,62 @@ def _outputs(rng) -> dict:
             report = knight_locality_test(emap, source, probe_cells=64)
             out[f"knight[{i}][{j}]"] = np.array([report.detector_energy, report.floor,
                                                  report.n_cells, *report.detector.lo])
+    out.update(_moved_outputs(general, transverse, rng))
     return {name: np.asarray(value).tobytes() for name, value in out.items()}
+
+
+def _moved_outputs(general, transverse, rng) -> dict:
+    """The outputs of the passes that run through _maxima, _integrand and
+    the sweeps of evolve, the field arithmetic and the polarization basis."""
+    other = SpectralField(GRID, _random_field_data(GRID, rng), FREQUENCY)
+    position = to_position(transverse)
+    state, partner = BBState(transverse), BBState(transverse_project(other))
+    amps = momentum_amplitudes(transverse)
+    out = {
+        "l2_norm": np.float64(l2_norm(general)),
+        "l2_norm(position)": np.float64(l2_norm(position)),
+        "l2_inner": np.complex128(l2_inner(general, other)),
+        "BBState.norm": np.float64(state.norm),
+        "bb_inner": np.complex128(bb_inner(state, partner, zero_mode="drop")),
+        "evolve": evolve(state, 0.37).field.data,
+        "evolve(position)": evolve(BBState(position), -2.5).field.data,
+        "+": (general + other).data,
+        "-": (general - other).data,
+        "*": ((0.3 - 1.7j) * general).data,
+        "/": (general / (0.3 - 1.7j)).data,
+        "neg": (-general).data,
+        "momentum_amplitudes": np.stack([amps.plus, amps.minus]),
+        "synthesize_from_amplitudes": synthesize_from_amplitudes(amps).data,
+        "plane_wave": np.stack([plane_wave(GRID, mode, sigma).data
+                                for mode in ((1, 2, -3), (-8, 0, 5)) for sigma in (1, -1)]),
+    }
+    pairs = {"field": (general, other),
+             "spatial": (magnitude(general), magnitude(other)),
+             "imag": (position.data.imag, to_position(other).data.imag)}
+    for name, (a, b) in pairs.items():
+        out[f"_peak({name})"] = np.float64(fields._peak(b))
+        out[f"_max_abs({name})"] = np.float64(fields._max_abs(fields._data(a),
+                                                              fields._data(b)))
+        out[f"_rel({name})"] = np.float64(fields._rel(a, b))
+    return out
+
+
+def _moved_calls(field):
+    """Every pass of _moved_outputs on one transverse field, 1d or 3d."""
+    other = 0.5j * field
+    state, position = BBState(field), to_position(field)
+    evolve(state, 0.37)
+    evolve(BBState(to_frequency(field)), 0.37)
+    bb_inner(state, BBState(other), zero_mode="drop")
+    assert state.norm > 0.0 and l2_norm(field) > 0.0
+    l2_inner(field, other)
+    (field + other, field - other, field / 3.0, -field)
+    synthesize_from_amplitudes(momentum_amplitudes(field))
+    plane_wave(field.grid, 3 if field.grid.dim == 1 else (1, 2, -3), 1)
+    for a, b in ((field, other), (magnitude(field), magnitude(other)),
+                 (position.data.imag, position.data.real)):
+        fields._peak(b)
+        fields._rel(a, b)
 
 
 def test_two_cpus_give_the_bytes_of_one(monkeypatch):
@@ -107,6 +165,7 @@ def test_1d_energy_density_and_scans_start_no_thread(started):
     state = make_lp_compact(grid, 1.0)
     energy_density(state)
     helicity_scans(state.field, 0.5)
+    _moved_calls(state.field)
     assert started == []
 
 
@@ -116,6 +175,7 @@ def test_3d_calls_leave_no_thread_behind(started):
     emap = energy_density(state)
     knight_locality_test(emap, DetectorVolume.box((-1.0,) * 3, (1.0,) * 3))
     helicity_scans(state.field, 5.0)
+    _moved_calls(state.field)
     assert started                              # the kernels did split
     assert threading.active_count() == before
 
