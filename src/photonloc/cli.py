@@ -15,6 +15,7 @@ suite that raises included.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import shutil
 import sys
@@ -74,7 +75,11 @@ def _add_output_args(parser, data_format=True, plots=True):
                             help="use a log scale on the linear panels too")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after
+    it: parsing leaves no state on it, and each build costs about 2 ms (one
+    HelpFormatter per argument) that in-process callers paid per command."""
     parser = _Parser(prog="photonloc",
                      description="Single-photon pulse states: position "
                                  "representations and energy localization.")

@@ -437,3 +437,22 @@ def test_unknown_subcommand(tmp_path):
     assert_cli_error(res)
     res = run_cli([], cwd=tmp_path)
     assert_cli_error(res)
+
+
+def test_main_builds_one_parser_and_reuses_it_after_parser_exits(tmp_path, capsys):
+    state_path = tmp_path / "state.json"
+    save_state(make_lp_compact(Grid(1, 16.0, 256), 1.0), state_path)
+    argv = ["energy", str(state_path), "--plot", "none", "--output-dir", str(tmp_path)]
+    cli.build_parser.cache_clear()
+    assert cli.main(argv) == 0
+    assert cli.main(argv) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["energy", str(state_path), "--format", "xml"])
+    assert exc.value.code == 1
+    assert cli.main(argv) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["energy", "--help"])
+    assert exc.value.code == 0
+    assert cli.main(argv) == 0
+    assert cli.build_parser.cache_info().misses == 1
+    assert "usage: photonloc energy" in capsys.readouterr().out

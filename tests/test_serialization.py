@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,9 @@ from photonloc import (BBState, Grid, LPState, SpectralField, load_state,
                        lp_from_potentials, make_bb_compact, make_lp_compact,
                        read_csv, save_state, to_position, write_csv,
                        write_json)
+from photonloc import serialization
 from photonloc.errors import SchemaError
+from photonloc.fields import FREQUENCY, POSITION
 from photonloc.serialization import jsonable
 from photonloc.units import UnitsConfig
 
@@ -77,19 +80,86 @@ def _hand_written_state_file(state, path):
         fh.write("\n")
 
 
-@pytest.mark.parametrize("make", [
-    lambda: make_lp_compact(Grid(1, 16.0, 1024), 1.0, UnitsConfig(hbar=0.5)),
-    lambda: _state_3d("lp"),
-    lambda: _state_3d("bb"),
-    lambda: make_bb_compact(Grid(1, 16, 256), 1.0),
-], ids=["1d-lp", "3d-lp", "3d-bb", "1d-bb-integer-length"])
-def test_save_state_writes_the_bytes_of_the_hand_written_schema(tmp_path, make):
+def _white_1d(n):
+    """A 1d LP state of n seeded complex samples in position space."""
+    rng = np.random.default_rng(n)
+    data = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return LPState(SpectralField(Grid(1, 16.0, n), data, POSITION))
+
+
+def _special_samples():
+    """A 1d LP state whose samples hold -0.0, the smallest subnormal and
+    +-1e308 in both parts."""
+    values = np.array([-0.0, 5e-324, 1e308, -1e308, 0.0, -5e-324, 1.0, 0.1])
+    data = np.empty(2 * values.size, dtype=complex)
+    data.real = np.concatenate([values, values[::-1]])
+    data.imag = np.concatenate([values[::-1], values])
+    return LPState(SpectralField(Grid(1, 16.0, data.size), data, POSITION))
+
+
+# Each case: the state and the chunk save_state encodes at a time (None:
+# its own, 4096 samples, which a 16^3 component fills exactly).
+@pytest.mark.parametrize("make, chunk", [
+    (lambda: make_lp_compact(Grid(1, 16.0, 1024), 1.0, UnitsConfig(hbar=0.5)), None),
+    (lambda: _state_3d("lp"), None),
+    (lambda: _state_3d("bb"), None),
+    (lambda: make_bb_compact(Grid(1, 16, 256), 1.0), None),
+    (lambda: _state_3d("lp", 32), None),
+    (lambda: _state_3d("bb", 32), None),
+    (lambda: _white_1d(16), 17),
+    (lambda: _white_1d(16), 16),
+    (lambda: _white_1d(16), 15),
+    (lambda: _white_1d(16), 5),
+    (lambda: _white_1d(4096 * 3 + 2), None),
+    (_special_samples, None),
+    (_special_samples, 3),
+], ids=["1d-lp", "3d-lp", "3d-bb", "1d-bb-integer-length", "3d-lp-32", "3d-bb-32",
+        "count-one-below-chunk", "count-at-chunk", "count-one-above-chunk",
+        "four-small-chunks", "four-chunks", "special-samples",
+        "special-samples-across-chunks"])
+def test_save_state_writes_the_bytes_of_the_hand_written_schema(tmp_path, monkeypatch,
+                                                                 make, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(serialization, "_CHUNK", chunk)
     state = make()
     save_state(state, tmp_path / "state.json")
     _hand_written_state_file(state, tmp_path / "reference.json")
     written = (tmp_path / "state.json").read_bytes()
     assert written == (tmp_path / "reference.json").read_bytes()
     assert f'"length": {state.grid.length!r}, '.encode() in written
+
+
+def test_save_state_refuses_samples_that_are_not_finite(tmp_path):
+    """A finite frequency-domain state whose position samples overflow: the
+    file would hold NaN/Infinity, which load_state rejects."""
+    data = np.full(64, 1e308, dtype=complex)
+    data[0] = 0.0
+    state = LPState(SpectralField(Grid(1, 16.0, 64), data, FREQUENCY))
+    path = tmp_path / "state.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="component 0 has non-finite samples"):
+            save_state(state, path)
+    assert not path.exists()
+
+
+# A bound on the tracemalloc peak of save_state on a position-domain state,
+# whatever its grid: one chunk's floats and a few copies of its text read
+# 0.6 MB from 16^3 to 64^3.  Holding every sample of a 32^3 state as Python
+# floats, as one json.dump of the whole payload does, reads 6.3 MB.
+SAVE_STATE_PEAK_BYTES = 1_500_000
+
+
+def test_save_state_memory_does_not_grow_with_the_grid(tmp_path):
+    state = LPState(to_position(_state_3d("lp", 32).field))
+    path = tmp_path / "state.json"
+    tracemalloc.start()
+    try:
+        save_state(state, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 3 * SAVE_STATE_PEAK_BYTES
+    assert peak < SAVE_STATE_PEAK_BYTES
 
 
 def test_save_state_rejects_other_types(tmp_path):
